@@ -989,7 +989,7 @@ let establish_time ?repeat ~algorithm a b =
    by CQCSP_PERF_BASELINE are "key=value" lines; a metric regressing past
    2x its checked-in value fails the run.  Speedups guard downwards
    (measured must stay above half the baseline), costs guard upwards. *)
-let perf_guard metrics =
+let perf_guard ~experiment metrics =
   match Sys.getenv_opt "CQCSP_PERF_BASELINE" with
   | None | Some "" -> Util.note "no CQCSP_PERF_BASELINE set; regression guard skipped."
   | Some file ->
@@ -1007,23 +1007,33 @@ let perf_guard metrics =
            | None -> ()
        done
      with End_of_file -> close_in ic);
-    List.iter
-      (fun (key, measured, higher_is_better) ->
-        match Hashtbl.find_opt baseline key with
-        | None -> Util.note "baseline has no key %s; skipped." key
-        | Some base ->
-          let ok =
-            if higher_is_better then measured >= base /. 2.0
-            else measured <= base *. 2.0
-          in
-          Util.note "%s: measured %.3g, baseline %.3g -> %s" key measured base
-            (if ok then "ok" else "REGRESSION");
-          if not ok then
-            failwith
-              (Printf.sprintf
-                 "E16 perf regression on %s: measured %.3g vs baseline %.3g (>2x)"
-                 key measured base))
-      metrics
+    (* Every key is checked and reported before the guard fails, so one
+       run names all of its regressions at once. *)
+    let regressions =
+      List.filter_map
+        (fun (key, measured, higher_is_better) ->
+          match Hashtbl.find_opt baseline key with
+          | None ->
+            Util.note "baseline has no key %s; skipped." key;
+            None
+          | Some base ->
+            let ok =
+              if higher_is_better then measured >= base /. 2.0
+              else measured <= base *. 2.0
+            in
+            Util.note "%s: measured %.3g, baseline %.3g -> %s" key measured base
+              (if ok then "ok" else "REGRESSION");
+            if ok then None
+            else
+              Some
+                (Printf.sprintf "%s: measured %.3g vs baseline %.3g (>2x)" key
+                   measured base))
+        metrics
+    in
+    if regressions <> [] then
+      failwith
+        (Printf.sprintf "%s perf regression on %s" experiment
+           (String.concat "; " regressions))
 
 (* Deep-cascade establish workloads.  The target is a transitive tournament
    (resp. a path) with a self-loop "floor" at vertex 0: out-paths of any
@@ -1296,7 +1306,7 @@ let e16 () =
   let ns_per_unit series =
     match List.rev series with (w, t) :: _ -> t *. 1e9 /. float_of_int w | [] -> nan
   in
-  perf_guard
+  perf_guard ~experiment:"E16"
     ([
        ("dense_speedup_64", dense_speedup, true);
        ("dense_ac4_ns_per_unit", ns_per_unit series_ac4, false);
@@ -1496,7 +1506,7 @@ let e17 () =
     | (w, t) :: _ -> t *. 1e9 /. float_of_int w
     | [] -> nan
   in
-  perf_guard
+  perf_guard ~experiment:"E17"
     ([
        ("pebble_speedup_largest", largest_speedup, true);
        ("pebble_expo_counting", expo_counting, false);
@@ -1649,7 +1659,7 @@ let e18 () =
     :: !json;
   append_perf_json (List.rev !json);
   Util.note "merged E18 rows into BENCH_perf.json.";
-  perf_guard
+  perf_guard ~experiment:"E18"
     [
       ("telemetry_overhead", mem_ratio, false);
       ("telemetry_jsonl_overhead", jsonl_ratio, false);
@@ -1794,7 +1804,7 @@ let e19 () =
       overhead_ratio;
   append_perf_json (List.rev !json);
   Util.note "merged E19 rows into BENCH_perf.json.";
-  perf_guard
+  perf_guard ~experiment:"E19"
     [
       ("core_shrink_speedup", core_shrink_speedup, true);
       ("preprocess_overhead_ratio", overhead_ratio, false);
@@ -1922,7 +1932,7 @@ let e20 () =
       count_speedup;
   append_perf_json (List.rev !json);
   Util.note "merged E20 rows into BENCH_perf.json.";
-  perf_guard
+  perf_guard ~experiment:"E20"
     [
       ("enum_acyclic_ns_per_answer", acyclic_per *. 1e9, false);
       ("enum_treewidth_ns_per_answer", tw_per *. 1e9, false);

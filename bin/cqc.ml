@@ -846,9 +846,9 @@ let serve socket stdio max_inflight max_queue cache_size ceiling_nodes
         | false, None ->
           Core.Error.bad_input "serve needs --socket PATH or --stdio"
       in
-      (* Sandboxing defaults on for the socket daemon (long-lived, worth a
-         fork per solve) and off for stdio sessions (often a test harness
-         inspecting in-process state); either can be forced. *)
+      (* Sandboxing defaults on for the socket daemon (long-lived, worth
+         its worker processes) and off for stdio sessions (often a test
+         harness inspecting in-process state); either can be forced. *)
       let sandbox =
         match sandbox with
         | Some choice -> choice
@@ -969,10 +969,11 @@ let serve_cmd =
             ( Some true,
               info [ "sandbox" ]
                 ~doc:
-                  "Run every solve in a forked worker process under rlimits \
-                   and a wall-clock watchdog (the default with --socket): a \
-                   worker death becomes a typed worker_crash response (code \
-                   6) after one degraded retry, never a daemon death." );
+                  "Run every solve in a long-lived forked worker process \
+                   under rlimits and a wall-clock watchdog (the default with \
+                   --socket): a worker death becomes a typed worker_crash \
+                   response (code 6) after one degraded retry on a fresh \
+                   worker, never a daemon death." );
             ( Some false,
               info [ "no-sandbox" ]
                 ~doc:
@@ -993,8 +994,8 @@ let serve_cmd =
       value & opt nonnegative_int 20
       & info [ "sandbox-cpu" ] ~docv:"SECONDS"
           ~doc:
-            "Worker CPU-time ceiling (RLIMIT_CPU) in whole seconds; 0 \
-             inherits the parent's limit.")
+            "Worker CPU-time ceiling (RLIMIT_CPU) per request, in whole \
+             seconds; 0 inherits the parent's limit.")
   in
   let sandbox_wall =
     Arg.(
@@ -1045,29 +1046,32 @@ let serve_cmd =
               work through budget cancellation and exit 0.";
            `P
              "With sandboxed workers (the --socket default), each solve runs \
-              in a forked child capped by RLIMIT_AS/RLIMIT_CPU and a \
-              parent-side watchdog; a child death of any kind — OOM kill, \
-              rlimit, timeout, segfault, half-written result — is classified, \
-              retried once with a degraded budget, and finally answered as a \
-              typed worker_crash response (code 6), optionally spooling a \
-              crash-dump reproducer for 'cqc triage'.";
+              in a long-lived worker process — at most --max-inflight of \
+              them, forked on first use and reaped at shutdown — capped by \
+              RLIMIT_AS, a per-request RLIMIT_CPU and a parent-side \
+              watchdog; a worker death of any kind — OOM kill, rlimit, \
+              timeout, segfault, half-written result — is classified, the \
+              worker replaced, the request retried once with a degraded \
+              budget, and finally answered as a typed worker_crash response \
+              (code 6), optionally spooling a crash-dump reproducer for 'cqc \
+              triage'.";
            `P
              "A request frame that is a JSON array of request objects is a \
               batch: it is answered by the array of the members' responses \
               on one line, admission is paid once for the whole batch, and \
               members querying the same template share one cache resolution \
-              and (when sandboxed) one forked worker.  Batches are limited \
-              to 64 members.";
+              and (when sandboxed) one worker round trip.  Batches are \
+              limited to 64 members.";
            `P
              "--threads races the portfolio routes of each in-process solve \
-              on a domain pool (see 'cqc solve --threads'); forked sandbox \
-              workers always solve sequentially, so the flag applies to \
-              --no-sandbox daemons and --stdio sessions.";
+              on a domain pool (see 'cqc solve --threads'); sandbox workers \
+              always solve sequentially, so the flag applies to --no-sandbox \
+              daemons and --stdio sessions.";
            `P
              "Set CQCSP_FAULT=site:seed:rate (sites: parse, admit, cache, \
               solve, respond, worker, all) to arm deterministic fault \
-              injection for chaos testing; the worker site SIGKILLs freshly \
-              forked workers.";
+              injection for chaos testing; the worker site SIGKILLs the \
+              worker about to serve a request.";
          ])
     Term.(
       const serve $ socket $ stdio $ max_inflight $ max_queue $ cache_size
@@ -1080,6 +1084,8 @@ let serve_cmd =
    and handy for ops one-liners. *)
 let request socket retry frames =
   run (fun () ->
+      (* A daemon that closes mid-send must surface as EPIPE. *)
+      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
       (* Frames read from stdin must be buffered once up front: a retried
          attempt replays them all, and stdin cannot be rewound. *)
       let frames =
@@ -1087,35 +1093,57 @@ let request socket retry frames =
         | [] -> List.rev (In_channel.fold_lines (fun acc l -> l :: acc) [] In_channel.stdin)
         | frames -> frames
       in
+      let data = String.concat "" (List.map (fun l -> l ^ "\n") frames) in
+      (* Writes interleave with reads: a client that wrote every frame
+         before reading a byte would deadlock against a daemon whose
+         replies fill the socket buffer while it waits to be read. *)
       let attempt printed =
         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Fun.protect
           ~finally:(fun () -> try Unix.close fd with _ -> ())
           (fun () ->
             Unix.connect fd (Unix.ADDR_UNIX socket);
-            let send line =
-              let line = line ^ "\n" in
-              let rec go off len =
-                if len > 0 then begin
-                  let n = Unix.write_substring fd line off len in
-                  go (off + n) (len - n)
-                end
-              in
-              go 0 (String.length line)
+            Unix.set_nonblock fd;
+            let chunk = Bytes.create 65536 in
+            let sent = ref 0 in
+            let stop_sending () =
+              sent := String.length data;
+              try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ()
             in
-            List.iter send frames;
-            Unix.shutdown fd Unix.SHUTDOWN_SEND;
-            let chunk = Bytes.create 8192 in
-            let rec copy () =
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 -> ()
-              | n ->
-                printed := true;
-                print_string (Bytes.sub_string chunk 0 n);
-                copy ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> copy ()
+            if data = "" then stop_sending ();
+            let rec pump () =
+              let sending = !sent < String.length data in
+              match Unix.select [ fd ] (if sending then [ fd ] else []) [] (-1.) with
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
+              | readable, writable, _ ->
+                (if writable <> [] then
+                   match
+                     Unix.single_write_substring fd data !sent
+                       (String.length data - !sent)
+                   with
+                   | n ->
+                     sent := !sent + n;
+                     if !sent = String.length data then stop_sending ()
+                   | exception
+                       Unix.Unix_error
+                         ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+                     ()
+                   (* The daemon closed its side: read what it answered. *)
+                   | exception Unix.Unix_error (Unix.EPIPE, _, _) -> stop_sending ());
+                if readable = [] then pump ()
+                else
+                  match Unix.read fd chunk 0 (Bytes.length chunk) with
+                  | 0 -> ()
+                  | n ->
+                    printed := true;
+                    print_string (Bytes.sub_string chunk 0 n);
+                    pump ()
+                  | exception
+                      Unix.Unix_error
+                        ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+                    pump ()
             in
-            copy ();
+            pump ();
             flush stdout;
             0)
       in

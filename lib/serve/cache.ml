@@ -34,7 +34,7 @@ type stats = {
 }
 
 type t = {
-  lock : Mutex.t;
+  mutable lock : Mutex.t;
   capacity : int;
   preprocess : bool;
   table : (string, entry) Hashtbl.t;
@@ -62,6 +62,10 @@ let create ?(preprocess = true) ~capacity () =
     build_failures = 0;
     evictions = 0;
   }
+
+(* A worker forked from the threaded daemon may inherit [lock] held by a
+   parent thread that does not exist in the child. *)
+let relock_after_fork t = t.lock <- Mutex.create ()
 
 let with_lock t f =
   Mutex.lock t.lock;

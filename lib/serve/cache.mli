@@ -84,5 +84,10 @@ val lookup : t -> Relational.Structure.t -> lookup * string
 
 val stats : t -> stats
 
+val relock_after_fork : t -> unit
+(** Give the cache a fresh mutex.  For a freshly forked sandbox worker
+    only, before its first lookup: the inherited mutex may have been held
+    at fork time by a parent thread that does not exist in the child. *)
+
 val clear : t -> unit
 (** Drop all entries and poison marks (counters keep accumulating). *)

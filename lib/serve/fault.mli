@@ -22,9 +22,9 @@ type site =
   | Solve  (** Just before the solver is invoked. *)
   | Respond  (** Before a response is serialized. *)
   | Worker
-      (** After a sandboxed worker child is forked.  Unlike the other
+      (** When a request is handed to a sandboxed worker.  Unlike the other
           sites this one is consulted with {!fires}, not {!trip}: a
-          firing draw makes the supervisor SIGKILL the fresh child,
+          firing draw makes the supervisor SIGKILL that worker,
           simulating an OOM kill / machine fault, instead of raising. *)
 
 val all_sites : site list

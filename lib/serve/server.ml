@@ -94,10 +94,9 @@ let resolve_template cfg b =
 (* The in-process solve of one request against an already-resolved
    template.  [certify] re-derives the verdict's certificate with the
    trusted checker — a rejection is an internal error, raised and mapped
-   at the boundary like everything else.  [threads] > 1 races the
-   portfolio routes on a domain pool; callers inside a forked sandbox
-   worker must pass 1 — fork and domains do not mix. *)
-let solve_now cfg ~threads ~id ~op ~certify ~max_nodes ~timeout a
+   at the boundary like everything else.  [cfg.threads] > 1 races the
+   portfolio routes on a domain pool. *)
+let solve_now cfg ~id ~op ~certify ~max_nodes ~timeout a
     (b, core, cache_status) =
   let budget = budget_for cfg ~max_nodes ~timeout in
   Fault.trip Fault.Solve;
@@ -109,7 +108,7 @@ let solve_now cfg ~threads ~id ~op ~certify ~max_nodes ~timeout a
      it (modulo interning). *)
   let r =
     Core.Solver.lift_target core
-      (Core.Solver.solve ~budget ~threads ~preprocess:cfg.preprocess a
+      (Core.Solver.solve ~budget ~threads:cfg.threads ~preprocess:cfg.preprocess a
          core.Preprocess.structure)
   in
   (* Microsecond precision is plenty; full-precision floats bloat frames. *)
@@ -135,7 +134,7 @@ let solve_now cfg ~threads ~id ~op ~certify ~max_nodes ~timeout a
 
 (* File one response into the per-route latency histogram.  The solve's
    own [elapsed_ms] is preferred when the response carries one (so a
-   sandboxed solve reports child-side time, not fork overhead); error
+   sandboxed solve reports worker-side time, not pipe overhead); error
    and crash responses land under route "none" with the caller's
    wall-clock. *)
 let record_latency cfg ~wall_ms resp =
@@ -165,45 +164,13 @@ let dump_for cfg ~line pool ~crash ~detail ~attempts =
          (Dump.make ~line ~crash ~detail ~attempts
             ~limits:(Worker.pool_limits pool)))
 
-(* Solve (A, B), resolving the template through the cache; returns the
-   response.
-
-   With a sandbox pool, the solve itself runs inside a forked worker
-   under {!Worker.supervise}; the cache lookup stays in the parent on
-   purpose, so a warm template's interned indexes are built once and
-   shared copy-on-write with every child.  The degraded retry clamps the
-   node budget to the pool's [retry_nodes] — a crash is evidence the
-   request is near some resource cliff, so the second attempt must be
-   strictly cheaper. *)
-let solve_instance cfg ~line ~id ~op ~certify ~max_nodes ~timeout a b =
-  let resolved = resolve_template cfg b in
-  let t0 = Unix.gettimeofday () in
-  let response =
-    match cfg.sandbox with
-    | None ->
-      solve_now cfg ~threads:cfg.threads ~id ~op ~certify ~max_nodes ~timeout a
-        resolved
-    | Some pool ->
-      Worker.supervise pool ~id ~dump:(dump_for cfg ~line pool)
-        (fun ~degraded ->
-          Worker.test_abort_hook a;
-          let max_nodes =
-            if not degraded then max_nodes
-            else
-              let cap = Worker.retry_nodes pool in
-              Some (match max_nodes with Some n -> min n cap | None -> cap)
-          in
-          solve_now cfg ~threads:1 ~id ~op ~certify ~max_nodes ~timeout a
-            resolved)
-  in
-  record_latency cfg ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.) response
-
-(* Re-key a response object under the given id (crash responses fan out
-   to every request they answered for). *)
-let with_id id = function
+(* A worker's answer for one request, re-keyed under the request's id: a
+   crash response is one object that answers for every request it took
+   down. *)
+let as_response id = function
   | Json.Obj fields ->
     Json.Obj (("id", id) :: List.filter (fun (k, _) -> k <> "id") fields)
-  | j -> j
+  | _ -> Protocol.error ~id (Core.Error.Internal "malformed worker reply")
 
 (* ------------------------------------------------------------------ *)
 (* Streamed enumeration                                                 *)
@@ -264,96 +231,246 @@ let enumerate_now cfg ~emit_frame ~id ~max_nodes ~timeout ~limit ~batch a
     ~route:(Enumerate.route_name plan.Enumerate.route)
     ~cache:cache_status ~count:!count ~complete:!complete ~elapsed_ms
 
-(* Enumerate (A, B), streaming answers frames through [emit]; returns
-   the final frame as the request's response line.  The sandboxed path
-   cannot stream through the fork boundary, so the child accumulates
-   every frame and returns them as one [Json.List] — distinguishable
-   from a terminal crash response, which is an object — and the parent
-   replays all but the last through [emit].  An exception mid-stream
-   (budget exhaustion, cancellation) propagates to the isolation
-   boundary: already-emitted answers frames stand, and the typed error
-   response carrying the request's id terminates the stream. *)
-let enumerate_instance cfg ~line ~emit ~id ~max_nodes ~timeout ~limit ~batch a b
-    =
-  let resolved = resolve_template cfg b in
-  let emit_json j =
-    emit
-      (match Json.to_string j with
-      | s -> s
-      | exception _ -> Protocol.fallback_line)
-  in
-  let t0 = Unix.gettimeofday () in
-  let final =
-    match cfg.sandbox with
-    | None ->
-      enumerate_now cfg ~emit_frame:emit_json ~id ~max_nodes ~timeout ~limit
-        ~batch a resolved
-    | Some pool -> (
-      let reply =
-        Worker.supervise pool ~id ~dump:(dump_for cfg ~line pool)
-          (fun ~degraded ->
-            Worker.test_abort_hook a;
-            let max_nodes =
-              if not degraded then max_nodes
-              else
-                let cap = Worker.retry_nodes pool in
-                Some (match max_nodes with Some n -> min n cap | None -> cap)
-            in
-            let frames = ref [] in
-            let final =
-              enumerate_now cfg
-                ~emit_frame:(fun j -> frames := j :: !frames)
-                ~id ~max_nodes ~timeout ~limit ~batch a resolved
-            in
-            Json.List (List.rev (final :: !frames)))
-      in
-      match reply with
-      | Json.List (_ :: _ as frames) ->
-        let rec replay = function
-          | [ last ] -> last
-          | f :: rest ->
-            emit_json f;
-            replay rest
-          | [] -> assert false
-        in
-        replay frames
-      | crash -> with_id id crash)
-  in
-  (* Count answers parent-side off the final frame: a sandboxed stream
-     produces them in the forked child, whose telemetry dies with it. *)
-  (match final with
-  | Json.Obj fields -> (
-    match List.assoc_opt "count" fields with
-    | Some (Json.Int n) -> Telemetry.count "serve.enumerate.answers" n
-    | _ -> ())
-  | _ -> ());
-  record_latency cfg ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.) final
+(* ------------------------------------------------------------------ *)
+(* Computing admitted requests                                          *)
+(* ------------------------------------------------------------------ *)
 
-let stats_fields cfg =
-  let c = Cache.stats cfg.cache in
+let get_field field = function
+  | Some v -> v
+  | None ->
+    (* request_of_json validated presence; reaching here is a handler
+       bug, not request content. *)
+    Core.Error.internal "missing validated field %S" field
+
+let contain_instance q1 q2 =
+  match Core.Solver.containment_instance q1 q2 with
+  | pair -> pair
+  | exception Invalid_argument msg -> Core.Error.bad_input "%s" msg
+
+(* The work of one admitted solve, contain or enumerate request: parse,
+   resolve the template through the cache, solve or stream.  An
+   unsandboxed daemon runs it in process; a sandboxed one runs it inside
+   a worker.  Intermediate enumerate frames go through [emit]; the final
+   response is returned.  An exception mid-stream (budget exhaustion,
+   cancellation) propagates: already-emitted answers frames stand, and
+   the caller answers the typed error that terminates the stream. *)
+let compute cfg ~emit (req : Protocol.request) =
+  let id = req.Protocol.id in
+  let structure what field = parse_structure ~what (get_field what field) in
+  let solve a b =
+    let resolved = resolve_template cfg b in
+    Worker.test_abort_hook a;
+    solve_now cfg ~id ~op:req.op ~certify:req.certify ~max_nodes:req.max_nodes
+      ~timeout:req.timeout a resolved
+  in
+  match req.Protocol.op with
+  | Protocol.Solve ->
+    let a = structure "source" req.source in
+    solve a (structure "target" req.target)
+  | Protocol.Contain ->
+    let q1 = parse_query ~what:"q1" (get_field "q1" req.q1) in
+    let q2 = parse_query ~what:"q2" (get_field "q2" req.q2) in
+    let a, b = contain_instance q1 q2 in
+    solve a b
+  | Protocol.Enumerate ->
+    let a = structure "source" req.source in
+    let resolved = resolve_template cfg (structure "target" req.target) in
+    Worker.test_abort_hook a;
+    enumerate_now cfg ~emit_frame:emit ~id ~max_nodes:req.max_nodes
+      ~timeout:req.timeout ~limit:req.limit ~batch:req.batch a resolved
+  | Protocol.Ping | Protocol.Stats ->
+    Core.Error.internal "op %s carries no computation"
+      (Protocol.op_name req.Protocol.op)
+
+(* Members of a batch frame that solve against the same template —
+   identical "target" text for solve, identical "q1" text for contain
+   (the template side of a containment instance is q1's canonical
+   database) — form one group: the template is parsed and
+   cache-resolved once, and a sandboxed daemon sends the whole group to
+   one worker as one sub-batch frame.  That is the whole point of
+   batching: N queries against the same structure amortize one cache
+   lookup and one worker round trip. *)
+let template_key (req : Protocol.request) =
+  match req.Protocol.op with
+  | Protocol.Solve -> ("solve", Option.value ~default:"" req.Protocol.target)
+  | Protocol.Contain -> ("contain", Option.value ~default:"" req.Protocol.q1)
+  | Protocol.Enumerate | Protocol.Ping | Protocol.Stats -> assert false
+
+(* The (A, resolved-B) instance of one group member.  [shared] lazily
+   parses and cache-resolves the group's solve template, so a bad
+   template text answers every member with the same typed error; contain
+   members re-derive their instance (cheap) and hit the cache that the
+   group's first member warmed. *)
+let member_instance cfg ~shared (req : Protocol.request) =
+  match req.Protocol.op with
+  | Protocol.Solve ->
+    let a =
+      parse_structure ~what:"source" (get_field "source" req.Protocol.source)
+    in
+    (a, Lazy.force shared)
+  | Protocol.Contain ->
+    let q1 = parse_query ~what:"q1" (get_field "q1" req.Protocol.q1) in
+    let q2 = parse_query ~what:"q2" (get_field "q2" req.Protocol.q2) in
+    let a, b = contain_instance q1 q2 in
+    (a, resolve_template cfg b)
+  | Protocol.Enumerate | Protocol.Ping | Protocol.Stats -> assert false
+
+(* The responses of one template group, in member order; a member's
+   failure is its own typed error. *)
+let compute_group cfg (reqs : Protocol.request list) =
+  let shared =
+    lazy
+      (let text =
+         match reqs with
+         | first :: _ -> Option.value ~default:"" first.Protocol.target
+         | [] -> ""
+       in
+       resolve_template cfg (parse_structure ~what:"target" text))
+  in
+  List.map
+    (fun (req : Protocol.request) ->
+      try
+        let a, b = member_instance cfg ~shared req in
+        Worker.test_abort_hook a;
+        solve_now cfg ~id:req.id ~op:req.op ~certify:req.certify
+          ~max_nodes:req.max_nodes ~timeout:req.timeout a b
+      with e -> Protocol.error_of_exn ~id:req.id e)
+    reqs
+
+(* ------------------------------------------------------------------ *)
+(* Sandbox workers                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let cache_counters (c : Cache.stats) =
   [
-    ( "cache",
+    ("hits", Json.Int c.Cache.hits);
+    ("misses", Json.Int c.Cache.misses);
+    ("poisoned", Json.Int c.Cache.poisoned);
+    ("build_failures", Json.Int c.Cache.build_failures);
+    ("evictions", Json.Int c.Cache.evictions);
+    ("entries", Json.Int c.Cache.entries);
+    ("capacity", Json.Int c.Cache.capacity);
+  ]
+
+let cache_templates (c : Cache.stats) =
+  List.map
+    (fun (ts : Cache.template_stats) ->
       Json.Obj
         [
-          ("hits", Json.Int c.Cache.hits);
-          ("misses", Json.Int c.Cache.misses);
-          ("poisoned", Json.Int c.Cache.poisoned);
-          ("build_failures", Json.Int c.Cache.build_failures);
-          ("evictions", Json.Int c.Cache.evictions);
-          ("entries", Json.Int c.Cache.entries);
-          ("capacity", Json.Int c.Cache.capacity);
-          ( "templates",
-            Json.List
-              (List.map
-                 (fun (ts : Cache.template_stats) ->
-                   Json.Obj
-                     [
-                       ("fingerprint", Json.String ts.Cache.t_fingerprint);
-                       ("raw_elements", Json.Int ts.Cache.t_raw_elements);
-                       ("core_elements", Json.Int ts.Cache.t_core_elements);
-                     ])
-                 c.Cache.templates) );
-        ] );
+          ("fingerprint", Json.String ts.Cache.t_fingerprint);
+          ("raw_elements", Json.Int ts.Cache.t_raw_elements);
+          ("core_elements", Json.Int ts.Cache.t_core_elements);
+        ])
+    c.Cache.templates
+
+let request_exn j =
+  match Protocol.request_of_json j with
+  | Ok req -> req
+  | Error msg -> Core.Error.bad_input "%s" msg
+
+(* What a sandbox worker runs on each line the daemon forwards: one
+   request frame, or one template group as a sub-batch array.  The
+   parent has already parsed, admitted and counted the request, so the
+   worker only computes — in process, single-threaded (fork and domains
+   do not mix), against its own copy of the template cache, which it
+   inherited warm.  The degraded retry lowers the node ceiling to the
+   pool's cap, so the second attempt is strictly cheaper.  Every reply
+   reports the worker's cache counters, and its resident templates
+   whenever they changed, for the parent's [stats] op. *)
+let worker_serve cfg =
+  let cfg =
+    {
+      cfg with
+      sandbox = None;
+      admit = (fun () -> `Go);
+      release = ignore;
+      threads = 1;
+    }
+  in
+  let relocked = ref false in
+  let reported = ref None in
+  fun ~node_cap line ->
+    if not !relocked then begin
+      Cache.relock_after_fork cfg.cache;
+      relocked := true
+    end;
+    let cfg =
+      match node_cap with
+      | None -> cfg
+      | Some cap ->
+        let ceiling = Option.fold ~none:cap ~some:(min cap) cfg.ceiling_nodes in
+        { cfg with ceiling_nodes = Some ceiling }
+    in
+    let frames =
+      match Json.parse line with
+      | Json.List items -> compute_group cfg (List.map request_exn items)
+      | j ->
+        let req = request_exn j in
+        let emitted = ref [] in
+        let final =
+          try compute cfg ~emit:(fun f -> emitted := f :: !emitted) req
+          with e -> Protocol.error_of_exn ~id:req.Protocol.id e
+        in
+        List.rev (final :: !emitted)
+    in
+    let c = Cache.stats cfg.cache in
+    let shape = Some (c.Cache.misses, c.Cache.build_failures, c.Cache.evictions) in
+    let templates =
+      if !reported = shape then []
+      else begin
+        reported := shape;
+        [ ("cache_templates", Json.List (cache_templates c)) ]
+      end
+    in
+    { Worker.frames; report = ("cache", Json.Obj (cache_counters c)) :: templates }
+
+let sandboxed ?limits ?retry_nodes ?max_workers cfg =
+  {
+    cfg with
+    sandbox =
+      Some
+        (Worker.create_pool ?limits ?retry_nodes ?max_workers
+           ~serve:(worker_serve cfg) ());
+  }
+
+(* Field-wise sum of two worker reports' values: integers add, lists
+   concatenate. *)
+let rec add_reported a b =
+  match (a, b) with
+  | Json.Int x, Json.Int y -> Json.Int (x + y)
+  | Json.List xs, Json.List ys -> Json.List (xs @ ys)
+  | Json.Obj xs, Json.Obj ys ->
+    Json.Obj
+      (List.map
+         (fun (k, v) ->
+           (k, match List.assoc_opt k ys with Some w -> add_reported v w | None -> v))
+         xs)
+  | a, _ -> a
+
+(* The [stats] op's cache object.  Under a sandbox it sums the caches the
+   live workers last reported; before any worker has answered, the
+   parent's own cache is exactly what a new worker would inherit. *)
+let cache_json cfg =
+  let reports = Option.fold ~none:[] ~some:Worker.reports cfg.sandbox in
+  let counters, templates =
+    if reports = [] then
+      let c = Cache.stats cfg.cache in
+      (Json.Obj (cache_counters c), Json.List (cache_templates c))
+    else
+      let sum key =
+        match List.filter_map (List.assoc_opt key) reports with
+        | [] -> Json.List []
+        | j :: js -> List.fold_left add_reported j js
+      in
+      (sum "cache", sum "cache_templates")
+  in
+  match counters with
+  | Json.Obj fields -> Json.Obj (fields @ [ ("templates", templates) ])
+  | j -> j
+
+let stats_fields cfg =
+  [
+    ("cache", cache_json cfg);
     ( "faults",
       Json.Obj
         (List.map
@@ -370,6 +487,7 @@ let stats_fields cfg =
             ("sandbox", Json.Bool true);
             ("live", Json.Int w.Worker.live);
             ("spawned", Json.Int w.Worker.spawned);
+            ("retired", Json.Int w.Worker.retired);
             ("completed", Json.Int w.Worker.completed);
             ("retries", Json.Int w.Worker.retries);
             ("dumps", Json.Int w.Worker.dumps);
@@ -387,12 +505,46 @@ let stats_fields cfg =
           ] );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The request handler — the isolation boundary                         *)
+(* ------------------------------------------------------------------ *)
+
+(* One admitted solve, contain or enumerate request, computed in process
+   or forwarded verbatim to a sandbox worker, whose frames come back
+   buffered: the parent replays all but the last through [emit], so a
+   retried stream never duplicates answers.  Answers are counted and
+   latency recorded here, off the final frame. *)
+let run_request cfg ~line ~emit (req : Protocol.request) =
+  let id = req.Protocol.id in
+  let t0 = Unix.gettimeofday () in
+  let final =
+    match cfg.sandbox with
+    | None -> compute cfg ~emit req
+    | Some pool -> (
+      match Worker.supervise pool ~id ~dump:(dump_for cfg ~line pool) line with
+      | Json.List (_ :: _ as frames) ->
+        let rec replay = function
+          | [ last ] -> last
+          | f :: rest ->
+            emit f;
+            replay rest
+          | [] -> assert false
+        in
+        replay frames
+      | reply -> as_response id reply)
+  in
+  (if req.Protocol.op = Protocol.Enumerate then
+     match Json.int_member "count" final with
+     | Some n -> Telemetry.count "serve.enumerate.answers" n
+     | None -> ());
+  record_latency cfg ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.) final
+
 let dispatch cfg ~line ~emit (req : Protocol.request) =
   let id = req.Protocol.id in
   match req.Protocol.op with
   | Protocol.Ping -> Protocol.ok_ping ~id
   | Protocol.Stats -> Protocol.ok_stats ~id ~fields:(stats_fields cfg)
-  | (Protocol.Solve | Protocol.Contain | Protocol.Enumerate) as op -> (
+  | Protocol.Solve | Protocol.Contain | Protocol.Enumerate -> (
     Fault.trip Fault.Admit;
     match cfg.admit () with
     | `Shed message ->
@@ -403,36 +555,9 @@ let dispatch cfg ~line ~emit (req : Protocol.request) =
         (Core.Error.Budget_exhausted Relational.Budget.Cancelled)
     | `Go ->
       Fun.protect ~finally:cfg.release (fun () ->
-          let get field = function
-            | Some v -> v
-            | None ->
-              (* request_of_json validated presence; reaching here is a
-                 handler bug, not request content. *)
-              Core.Error.internal "missing validated field %S" field
-          in
-          match op with
-          | Protocol.Solve ->
-            let a = parse_structure ~what:"source" (get "source" req.source) in
-            let b = parse_structure ~what:"target" (get "target" req.target) in
-            solve_instance cfg ~line ~id ~op ~certify:req.certify
-              ~max_nodes:req.max_nodes ~timeout:req.timeout a b
-          | Protocol.Contain ->
-            let q1 = parse_query ~what:"q1" (get "q1" req.q1) in
-            let q2 = parse_query ~what:"q2" (get "q2" req.q2) in
-            let a, b =
-              match Core.Solver.containment_instance q1 q2 with
-              | pair -> pair
-              | exception Invalid_argument msg -> Core.Error.bad_input "%s" msg
-            in
-            solve_instance cfg ~line ~id ~op ~certify:req.certify
-              ~max_nodes:req.max_nodes ~timeout:req.timeout a b
-          | Protocol.Enumerate ->
+          if req.Protocol.op = Protocol.Enumerate then
             Telemetry.count "serve.enumerate" 1;
-            let a = parse_structure ~what:"source" (get "source" req.source) in
-            let b = parse_structure ~what:"target" (get "target" req.target) in
-            enumerate_instance cfg ~line ~emit ~id ~max_nodes:req.max_nodes
-              ~timeout:req.timeout ~limit:req.limit ~batch:req.batch a b
-          | Protocol.Ping | Protocol.Stats -> assert false))
+          run_request cfg ~line ~emit req))
 
 (* ------------------------------------------------------------------ *)
 (* Batch frames                                                         *)
@@ -440,129 +565,30 @@ let dispatch cfg ~line ~emit (req : Protocol.request) =
 
 (* A JSON array frame is a batch: each element is a request, and the
    response is the array of their responses, in order, on one line.
-   Verdict-bearing members pass admission once as a unit, and members
-   sharing a template — identical "target" text for solve, identical
-   "q1" text for contain (the template side of a containment instance is
-   q1's canonical database) — are grouped so that each distinct template
-   is parsed and cache-resolved once and, with a sandbox, each group
-   costs one forked worker instead of one per member.  That is the whole
-   point of batching: N queries against the same structure amortize one
-   cache lookup and one fork. *)
-
-let template_key (req : Protocol.request) =
-  match req.Protocol.op with
-  | Protocol.Solve -> ("solve", Option.value ~default:"" req.Protocol.target)
-  | Protocol.Contain -> ("contain", Option.value ~default:"" req.Protocol.q1)
-  | Protocol.Enumerate | Protocol.Ping | Protocol.Stats -> assert false
-
-(* The (A, resolved-B) instance of one group member.  [shared] lazily
-   parses and cache-resolves the group's solve template, so a bad
-   template text answers every member with the same typed error; contain
-   members re-derive their instance (cheap) and hit the cache that the
-   group's first member warmed. *)
-let member_instance cfg ~shared (req : Protocol.request) =
-  let get field = function
-    | Some v -> v
-    | None -> Core.Error.internal "missing validated field %S" field
-  in
-  match req.Protocol.op with
-  | Protocol.Solve ->
-    let a = parse_structure ~what:"source" (get "source" req.Protocol.source) in
-    (a, Lazy.force shared)
-  | Protocol.Contain ->
-    let q1 = parse_query ~what:"q1" (get "q1" req.Protocol.q1) in
-    let q2 = parse_query ~what:"q2" (get "q2" req.Protocol.q2) in
-    let a, b =
-      match Core.Solver.containment_instance q1 q2 with
-      | pair -> pair
-      | exception Invalid_argument msg -> Core.Error.bad_input "%s" msg
-    in
-    (a, resolve_template cfg b)
-  | Protocol.Enumerate | Protocol.Ping | Protocol.Stats -> assert false
-
-(* Answer one template group.  All parsing and cache resolution happens
-   in the parent (children must inherit warm templates copy-on-write,
-   never build their own); the sandboxed compute returns the list of
-   member responses as a single [Json.List] frame, distinguishable from
-   a terminal crash response, which is an object and is re-keyed to
-   every member's id. *)
+   Verdict-bearing members pass admission once as a unit and are grouped
+   by template ({!template_key}); a sandboxed daemon forwards each group
+   as one sub-batch frame, so a worker crash costs one group. *)
 let solve_group cfg ~line responses members =
-  let shared =
-    lazy
-      (let _, first = List.hd members in
-       let text = Option.value ~default:"" first.Protocol.target in
-       resolve_template cfg (parse_structure ~what:"target" text))
+  let reqs = List.map (fun (_, req, _) -> req) members in
+  let t0 = Unix.gettimeofday () in
+  let rs =
+    match cfg.sandbox with
+    | None -> compute_group cfg reqs
+    | Some pool -> (
+      let ids = Json.List (List.map (fun r -> r.Protocol.id) reqs) in
+      let sub_batch =
+        Json.to_string (Json.List (List.map (fun (_, _, item) -> item) members))
+      in
+      match
+        Worker.supervise pool ~id:ids ~dump:(dump_for cfg ~line pool) sub_batch
+      with
+      | Json.List rs when List.length rs = List.length reqs -> rs
+      | reply -> List.map (fun r -> as_response r.Protocol.id reply) reqs)
   in
-  let runnable =
-    List.filter_map
-      (fun (i, req) ->
-        match member_instance cfg ~shared req with
-        | ab -> Some (i, req, ab)
-        | exception e ->
-          responses.(i) <- Protocol.error_of_exn ~id:req.Protocol.id e;
-          None)
-      members
-  in
-  match (runnable, cfg.sandbox) with
-  | [], _ -> ()
-  | runnable, None ->
-    List.iter
-      (fun (i, (req : Protocol.request), (a, b)) ->
-        let t0 = Unix.gettimeofday () in
-        let resp =
-          try
-            solve_now cfg ~threads:cfg.threads ~id:req.id ~op:req.op
-              ~certify:req.certify ~max_nodes:req.max_nodes
-              ~timeout:req.timeout a b
-          with e -> Protocol.error_of_exn ~id:req.id e
-        in
-        responses.(i) <-
-          record_latency cfg
-            ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-            resp)
-      runnable
-  | runnable, Some pool ->
-    let ids =
-      Json.List (List.map (fun (_, req, _) -> req.Protocol.id) runnable)
-    in
-    let t0 = Unix.gettimeofday () in
-    let reply =
-      Worker.supervise pool ~id:ids ~dump:(dump_for cfg ~line pool)
-        (fun ~degraded ->
-          Json.List
-            (List.map
-               (fun (_, (req : Protocol.request), (a, b)) ->
-                 try
-                   Worker.test_abort_hook a;
-                   let max_nodes =
-                     if not degraded then req.max_nodes
-                     else
-                       let cap = Worker.retry_nodes pool in
-                       Some
-                         (match req.max_nodes with
-                         | Some n -> min n cap
-                         | None -> cap)
-                   in
-                   solve_now cfg ~threads:1 ~id:req.id ~op:req.op
-                     ~certify:req.certify ~max_nodes ~timeout:req.timeout a b
-                 with e -> Protocol.error_of_exn ~id:req.id e)
-               runnable))
-    in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    (match reply with
-    | Json.List rs when List.length rs = List.length runnable ->
-      List.iter2
-        (fun (i, _, _) r -> responses.(i) <- record_latency cfg ~wall_ms r)
-        runnable rs
-    | crash ->
-      (* A terminal worker crash (or a protocol-garbled frame) is one
-         object; every member of the lost group gets it, under its own
-         id, so batch accounting stays one-response-per-member. *)
-      List.iter
-        (fun (i, (req : Protocol.request), _) ->
-          responses.(i) <-
-            record_latency cfg ~wall_ms (with_id req.Protocol.id crash))
-        runnable)
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  List.iter2
+    (fun (i, _, _) r -> responses.(i) <- record_latency cfg ~wall_ms r)
+    members rs
 
 let handle_batch cfg ~line items =
   let n = List.length items in
@@ -596,7 +622,7 @@ let handle_batch cfg ~line items =
                  "enumerate cannot appear inside a batch frame: it streams \
                   multiple response lines")
         | Protocol.Solve | Protocol.Contain ->
-          solves := (i, req) :: !solves))
+          solves := (i, req, item) :: !solves))
     items;
   let solves = List.rev !solves in
   (if solves <> [] then begin
@@ -605,12 +631,12 @@ let handle_batch cfg ~line items =
      | `Shed message ->
        Telemetry.count "serve.shed" 1;
        List.iter
-         (fun (i, (req : Protocol.request)) ->
+         (fun (i, (req : Protocol.request), _) ->
            responses.(i) <- Protocol.shed ~id:req.id ~message)
          solves
      | `Cancelled ->
        List.iter
-         (fun (i, (req : Protocol.request)) ->
+         (fun (i, (req : Protocol.request), _) ->
            responses.(i) <-
              Protocol.error ~id:req.id
                (Core.Error.Budget_exhausted Relational.Budget.Cancelled))
@@ -622,13 +648,13 @@ let handle_batch cfg ~line items =
            let order = ref [] in
            let groups = Hashtbl.create 8 in
            List.iter
-             (fun (i, req) ->
+             (fun ((_, req, _) as member) ->
                let key = template_key req in
                (match Hashtbl.find_opt groups key with
                | None -> order := key :: !order
                | Some _ -> ());
                Hashtbl.replace groups key
-                 ((i, req)
+                 (member
                  :: Option.value ~default:[] (Hashtbl.find_opt groups key)))
              solves;
            List.iter
@@ -642,6 +668,12 @@ let handle_batch cfg ~line items =
 let handle_line ?(emit = fun _ -> ()) cfg line =
   Telemetry.count "serve.requests" 1;
   let id = ref Json.Null in
+  let emit_json j =
+    emit
+      (match Json.to_string j with
+      | s -> s
+      | exception _ -> Protocol.fallback_line)
+  in
   let response =
     try
       if String.length line > cfg.max_frame_bytes then
@@ -660,7 +692,7 @@ let handle_line ?(emit = fun _ -> ()) cfg line =
       | _ -> (
         match Protocol.request_of_json j with
         | Error msg -> Protocol.error ~id:!id (Core.Error.Bad_input msg)
-        | Ok req -> dispatch cfg ~line ~emit req)
+        | Ok req -> dispatch cfg ~line ~emit:emit_json req)
     with e -> Protocol.error_of_exn ~id:!id e
   in
   let count_status = function
@@ -935,20 +967,10 @@ let bind_unix_socket path =
      raise e);
   sock
 
-let pool_of_options opts =
-  if not opts.opt_sandbox then None
-  else
-    Some
-      (Worker.create_pool
-         ~limits:
-           {
-             Worker.mem_bytes = opts.opt_sandbox_mem_bytes;
-             cpu_seconds = opts.opt_sandbox_cpu_seconds;
-             wall_seconds = opts.opt_sandbox_wall_seconds;
-           }
-         ())
-
-let config_of_options opts ~cancel ~admission =
+(* The daemon's config.  A sandboxed daemon's pool holds one worker per
+   admitted request: [max_workers], matching the admission limit. *)
+let config_of_options opts ~cancel ~admission ~max_workers =
+  let cfg =
   {
     cache =
       Cache.create ~preprocess:opts.opt_preprocess
@@ -967,16 +989,30 @@ let config_of_options opts ~cancel ~admission =
     release =
       (fun () ->
         match admission with Some adm -> Admission.release adm | None -> ());
-    sandbox = pool_of_options opts;
+    sandbox = None;
     spool_dir = opts.opt_spool_dir;
     threads = max 1 opts.opt_threads;
     preprocess = opts.opt_preprocess;
     latency = Latency.create ();
   }
+  in
+  if not opts.opt_sandbox then cfg
+  else
+    sandboxed ~max_workers
+      ~limits:
+        {
+          Worker.mem_bytes = opts.opt_sandbox_mem_bytes;
+          cpu_seconds = opts.opt_sandbox_cpu_seconds;
+          wall_seconds = opts.opt_sandbox_wall_seconds;
+        }
+      cfg
 
 let run_stdio cfg ~shutdown =
-  serve_stream cfg ~shutdown ~in_fd:Unix.stdin ~respond:(fun s ->
-      write_all Unix.stdout (s ^ "\n") 0 (String.length s + 1));
+  Fun.protect
+    ~finally:(fun () -> Option.iter Worker.shutdown cfg.sandbox)
+    (fun () ->
+      serve_stream cfg ~shutdown ~in_fd:Unix.stdin ~respond:(fun s ->
+          write_all Unix.stdout (s ^ "\n") 0 (String.length s + 1)));
   0
 
 let run_socket cfg ~shutdown ~admission path =
@@ -999,7 +1035,10 @@ let run_socket cfg ~shutdown ~admission path =
   in
   let accept_loop () =
     while not !shutdown do
-      match Unix.select [ listener; wake_r ] [] [] (-1.) with
+      (* Bounded: a signal that lands on a thread blocked in a restarted
+         read records shutdown without ever waking this select, and only
+         a return to OCaml code runs the handler. *)
+      match Unix.select [ listener; wake_r ] [] [] 0.25 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | readable, _, _ ->
         if List.memq listener readable && not !shutdown then begin
@@ -1030,6 +1069,9 @@ let run_socket cfg ~shutdown ~admission path =
       Option.iter Admission.wake_all admission;
       registry_shutdown_all reg;
       List.iter Thread.join !threads;
+      (* No request is in flight any more: close every worker's request
+         pipe and reap it, so none outlives the daemon. *)
+      Option.iter Worker.shutdown cfg.sandbox;
       List.iter
         (fun (signal, behavior) -> try Sys.set_signal signal behavior with _ -> ())
         previous_handlers;
@@ -1049,7 +1091,7 @@ let run opts =
   let cancel = ref false in
   match opts.mode with
   | Stdio ->
-    let cfg = config_of_options opts ~cancel ~admission:None in
+    let cfg = config_of_options opts ~cancel ~admission:None ~max_workers:1 in
     Option.iter (fun m -> ignore (warm_cache cfg.cache m)) opts.opt_warm_manifest;
     let note_shutdown () =
       shutdown := true;
@@ -1067,6 +1109,9 @@ let run opts =
       Admission.create ~max_inflight:opts.max_inflight ~max_queue:opts.max_queue
         ~shutdown
     in
-    let cfg = config_of_options opts ~cancel ~admission:(Some admission) in
+    let cfg =
+      config_of_options opts ~cancel ~admission:(Some admission)
+        ~max_workers:opts.max_inflight
+    in
     Option.iter (fun m -> ignore (warm_cache cfg.cache m)) opts.opt_warm_manifest;
     run_socket cfg ~shutdown ~admission:(Some admission) path

@@ -28,13 +28,16 @@
 
     {2 Sandboxed workers}
 
-    With a {!Worker.pool} configured, every solve runs in a forked child
-    under rlimits and a wall-clock watchdog ({!Worker.supervise}): one
-    crash triggers a degraded retry, a second yields a typed
-    [worker_crash] response (code 6) and — when a spool directory is
-    configured — a crash-dump artifact for [cqc triage].  The cache
-    lookup stays in the parent so warm template indexes are shared
-    copy-on-write with every child. *)
+    With a {!Worker.pool} configured ({!sandboxed}), the parent keeps
+    framing, admission, [ping] and [stats], and forwards each admitted
+    solve, contain or enumerate frame verbatim to a long-lived forked
+    worker: an in-process server of its own, with its own copy of the
+    template cache, inherited warm.  The parent supervises it under
+    rlimits and a wall-clock watchdog ({!Worker.supervise}): a crash
+    replaces the worker and triggers a degraded retry on a fresh one, a
+    second crash yields a typed [worker_crash] response (code 6) and —
+    when a spool directory is configured — a crash-dump artifact for
+    [cqc triage]. *)
 
 type config = {
   cache : Cache.t;
@@ -49,15 +52,16 @@ type config = {
           enumerate); [`Go] must be paired with a later [release]. *)
   release : unit -> unit;
   sandbox : Worker.pool option;
-      (** When set, solves run in forked sandboxed workers. *)
+      (** When set, solves run in persistent sandboxed workers; build it
+          with {!sandboxed}. *)
   spool_dir : string option;
       (** Where terminal crashes spool their dump artifacts; [None]
           disables dumps (crash responses still carry the class). *)
   threads : int;
-      (** Portfolio-racing width for in-process solves.  Forked sandbox
-          workers always solve with [threads = 1]: fork and domains do
-          not mix, so racing only applies to [--no-sandbox] daemons and
-          stdio sessions. *)
+      (** Portfolio-racing width for in-process solves.  Sandbox workers
+          always solve with [threads = 1]: fork and domains do not mix,
+          so racing only applies to [--no-sandbox] daemons and stdio
+          sessions. *)
   preprocess : bool;
       (** Run the source-side shrinking pipeline inside each solve (the
           target side is cored once per cached template regardless of
@@ -74,6 +78,22 @@ val default_config : ?cache_capacity:int -> ?preprocess:bool -> unit -> config
     [preprocess] (default [true]) governs both the per-request source
     shrink and the cache's per-template coring. *)
 
+val sandboxed :
+  ?limits:Worker.limits ->
+  ?retry_nodes:int ->
+  ?max_workers:int ->
+  config ->
+  config
+(** [sandboxed cfg] is [cfg] with a {!Worker.pool} (arguments as in
+    {!Worker.create_pool}) whose workers compute requests in process
+    under [cfg] itself: its cache, ceilings, defaults and cancel flag.
+    Apply it after setting those fields; [spool_dir], [admit],
+    [release] and [latency] stay with the parent and may be set later.
+    Workers fork lazily, on the first sandboxed request; the daemon
+    reaps them with {!Worker.shutdown} when it drains.  Under a sandbox
+    the [stats] op's [cache] object sums the caches the live workers
+    last reported (the parent's own before any worker has answered). *)
+
 val handle_line : ?emit:(string -> unit) -> config -> string -> string
 (** Process one frame (without its newline); returns one response line
     (without a newline).  Total: never raises, never blocks on anything
@@ -85,17 +105,18 @@ val handle_line : ?emit:(string -> unit) -> config -> string -> string
     stream with the ["final"] frame (or a typed error: an exception
     mid-stream, e.g. budget exhaustion, leaves already-emitted frames
     standing and terminates the stream with the error response).  Under
-    a sandbox pool the child accumulates the frames and the parent
-    replays them, so [emit] never crosses the fork.  All other ops
-    ignore [emit] entirely.
+    a sandbox pool the worker sends all of a request's frames back in
+    one reply and the parent replays them, so a retried stream never
+    duplicates answers.  All other ops ignore [emit] entirely.
 
     A frame that is a JSON {e array} of request objects is a {e batch}:
     its response line is the JSON array of the members' responses, in
     order.  The batch passes admission once as a unit, and members
     solving against the same template (identical [target] text for
     solve, identical [q1] text for contain) share one template-cache
-    resolution and — when sandboxed — one forked worker, so N queries
-    against the same structure cost one cache lookup and one fork.
+    resolution and — when sandboxed — one sub-batch frame to one worker,
+    so N queries against the same structure cost one cache lookup and
+    one worker round trip, and a worker crash costs one group.
     Member failures (bad member shape, bad structure text, a terminal
     worker crash taking down the group) are answered per member with
     the usual typed error objects; batches are limited to 64 members. *)
@@ -112,9 +133,12 @@ type options = {
   opt_default_nodes : int option;
   opt_default_timeout : float option;
   opt_max_frame_bytes : int;
-  opt_sandbox : bool;  (** Fork a sandboxed worker per solve. *)
+  opt_sandbox : bool;
+      (** Solve in persistent sandboxed workers, at most [max_inflight]
+          of them (1 under [Stdio]). *)
   opt_sandbox_mem_bytes : int option;  (** RLIMIT_AS; [None] inherits. *)
-  opt_sandbox_cpu_seconds : int option;  (** RLIMIT_CPU; [None] inherits. *)
+  opt_sandbox_cpu_seconds : int option;
+      (** RLIMIT_CPU allowance per request; [None] inherits. *)
   opt_sandbox_wall_seconds : float;  (** Watchdog deadline. *)
   opt_spool_dir : string option;  (** Crash-dump spool directory. *)
   opt_threads : int;  (** In-process portfolio-racing width (min 1). *)
@@ -131,8 +155,9 @@ type options = {
 
 val run : options -> int
 (** Run the daemon until SIGINT/SIGTERM (or, under [Stdio], end of
-    input); returns the process exit code (0 on clean shutdown).  Arms
-    fault injection from [CQCSP_FAULT] on entry.
+    input); returns the process exit code (0 on clean shutdown), after
+    every sandbox worker has been reaped.  Arms fault injection from
+    [CQCSP_FAULT] on entry.
     @raise Core.Error.Error on startup failures (socket in use, bad
     fault spec) — startup is {e outside} the isolation boundary on
     purpose: a misconfigured daemon must fail loudly, not serve. *)

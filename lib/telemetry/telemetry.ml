@@ -142,11 +142,12 @@ let timers : (string, (float ref * int ref)) Hashtbl.t = Hashtbl.create 16
    this lock.  The telemetry-off fast path (no sink installed) never
    touches the lock, so disabled overhead stays the single branch
    measured by bench E18. *)
-let lock = Mutex.create ()
+let lock = ref (Mutex.create ())
 
 let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+  let m = !lock in
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let enabled () = !sink <> None
 
@@ -157,11 +158,17 @@ let set_sink s =
 
 (* In a child forked from a multithreaded parent, [lock] may have been
    held by a thread that does not exist in the child: taking it would
-   deadlock forever.  Writing the sink ref directly (no lock — the child
-   is single-threaded by construction) routes every subsequent
-   instrumentation call through the lock-free disabled fast path. *)
-let detach_after_fork () =
-  sink := None;
+   deadlock forever.  The child is single-threaded by construction, so
+   the state is rewritten directly: a fresh lock, and totals cleared of
+   the parent's history.  Without [keep_counting] the sink goes, so every
+   later instrumentation call takes the lock-free disabled fast path;
+   with it, a parent that was counting leaves the child counting into a
+   discarding sink, for the child to report its totals back. *)
+let detach_after_fork ?(keep_counting = false) () =
+  lock := Mutex.create ();
+  Hashtbl.reset counters;
+  Hashtbl.reset timers;
+  sink := (match !sink with Some _ when keep_counting -> Some Sink.noop | _ -> None);
   stack () := []
 
 let reset () =

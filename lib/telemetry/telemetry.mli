@@ -74,13 +74,16 @@ val set_sink : Sink.t option -> unit
 
 val enabled : unit -> bool
 
-val detach_after_fork : unit -> unit
-(** Disable telemetry {e without} taking the module lock.  For freshly
+val detach_after_fork : ?keep_counting:bool -> unit -> unit
+(** Reset telemetry {e without} taking the module lock.  For freshly
     forked children only: the lock may have been held at fork time by a
     parent thread that no longer exists, so the ordinary {!set_sink}
     could deadlock.  The child is single-threaded, making the direct
-    write safe; afterwards every instrumentation call takes the
-    lock-free disabled path. *)
+    writes safe: the lock is replaced and the inherited totals cleared.
+    By default telemetry is then disabled and every instrumentation call
+    takes the lock-free fast path.  With [keep_counting] (default
+    [false]) a child of a parent that had a sink keeps counting into
+    {!Sink.noop}, so it can report {!counter_totals} back to the parent. *)
 
 (** {1 Counters}
 

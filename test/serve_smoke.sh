@@ -26,15 +26,23 @@
 #                      crashes);
 #   3. worker-kill chaos — >=1000 frames of distinct templates against a
 #                      sandboxed daemon whose worker fault site SIGKILLs
-#                      ~15% of forked children (DESIGN.md section 14);
-#                      every response must still be typed, the worker
-#                      accounting must balance exactly (crashes = retries
-#                      + terminal code-6 responses; spawns = completions
-#                      + crashes), and every terminal crash must spool
-#                      one dump artifact;
-#   4. all daemons must drain and exit 0 on SIGTERM, and the metrics
-#      documents must pass the metrics schema with serve.cache.hit > 0
-#      (clean) and serve.worker.spawn > 0 (worker chaos).
+#                      the worker serving ~15% of attempts (DESIGN.md
+#                      section 14); every response must still be typed,
+#                      the worker accounting must balance exactly
+#                      (crashes = retries + terminal code-6 responses;
+#                      attempts = completions + crashes; spawns = live +
+#                      retired + crashes), and every terminal crash must
+#                      spool one dump artifact;
+#   4. pipelining    — one `cqc request` connection sends >=5000 frames
+#                      without waiting for replies and must read every
+#                      response back (the client interleaves writes with
+#                      reads instead of deadlocking);
+#   5. drain cycles  — >=200 start -> ping + solve -> one SIGTERM cycles;
+#                      every daemon must exit 0 within 10 s;
+#   6. all daemons must drain and exit 0 on SIGTERM, leaving no worker
+#      process behind, and the metrics documents must pass the metrics
+#      schema with serve.cache.hit > 0 (clean) and serve.worker.spawn > 0
+#      (worker chaos).
 #
 # Usage: test/serve_smoke.sh [path/to/cqc.exe]   (run from the repo root;
 # needs jq)
@@ -121,12 +129,23 @@ check_responses() { # $1 = responses file, $2 = phase name
     || fail "$phase: a response violates $RESPONSE_SCHEMA"
 }
 
+# SIGTERM the daemon and wait up to 10 s for it to exit 0; the sandbox
+# workers it had forked must all be gone once it has.
 stop_daemon() { # $1 = phase name
+  local workers code=0 waited=0
+  workers=$(pgrep -P "$SERVE_PID" || true)
   kill -TERM "$SERVE_PID"
-  local code=0
+  while kill -0 "$SERVE_PID" 2>/dev/null; do
+    [ "$waited" -lt 1000 ] || { kill -KILL "$SERVE_PID"; fail "$1: daemon still running 10 s after SIGTERM"; }
+    sleep 0.01
+    waited=$((waited + 1))
+  done
   wait "$SERVE_PID" || code=$?
   SERVE_PID=
   [ "$code" -eq 0 ] || fail "$1: daemon exited $code on SIGTERM (wanted 0)"
+  for w in $workers; do
+    ! kill -0 "$w" 2>/dev/null || fail "$1: worker $w outlived the daemon"
+  done
 }
 
 command -v jq >/dev/null || fail "jq not found"
@@ -267,8 +286,8 @@ stop_daemon "chaos"
 
 # --- Phase 3: sandboxed workers under kill chaos ----------------------
 # Every (client, rep) pair gets its own padded target so the template
-# cache cannot absorb the load in the parent: each solve must fork a
-# worker, and the armed worker fault site SIGKILLs ~15% of those forks.
+# caches keep missing, and the armed worker fault site SIGKILLs the
+# worker serving ~15% of the solve attempts.
 WORKER_REPS=10
 WORKER_FRAMES_PER_REP=5
 
@@ -313,21 +332,24 @@ WORKER_GOT=$(wc -l <"$TMP/worker/all.jsonl")
 jq -e -s -f "$RESPONSE_SCHEMA" "$TMP/worker/all.jsonl" >/dev/null \
   || fail "worker: a response violates $RESPONSE_SCHEMA"
 
-# Exact accounting against the stats op.  A fault draw can race a fast
-# child that already answered (the SIGKILL lands on a zombie), so the
-# invariants are internal: every crash is either absorbed by the one
-# degraded retry or surfaces as exactly one terminal code-6 response
-# with one spooled dump; every spawn completes or crashes.
+# Exact accounting against the stats op: every crash is either absorbed
+# by the one degraded retry or surfaces as exactly one terminal code-6
+# response with one spooled dump; every attempt (one per solve frame,
+# plus the retries) completes or crashes; every worker ever forked is
+# live (at most one per --max-inflight slot), retired, or dead of a
+# crash.
 echo '{"id":1,"op":"stats"}' | "$BIN" request --socket "$TMP/worker.sock" \
   >"$TMP/worker-stats.jsonl"
 TERMINAL=$(jq -s '[.[] | select(.error == "worker_crash")] | length' "$TMP/worker/all.jsonl")
-jq -e -s --argjson terminal "$TERMINAL" '
+SOLVE_FRAMES=$((CLIENTS * WORKER_REPS * 4))
+jq -e -s --argjson terminal "$TERMINAL" --argjson solves "$SOLVE_FRAMES" '
   .[0].workers
   | .sandbox == true
-    and .live == 0
+    and .live >= 1 and .live <= 4
     and .crashes.total > 0
     and .crashes.total == .retries + $terminal
-    and .spawned == .completed + .crashes.total
+    and .completed + .crashes.total == $solves + .retries
+    and .spawned == .live + .retired + .crashes.total
     and .dumps == $terminal
     and .crashes.total == (.crashes.signal + .crashes.oom + .crashes.cpu
                            + .crashes.watchdog + .crashes.protocol
@@ -346,4 +368,45 @@ jq -e -f "$METRICS_SCHEMA" "$TMP/worker-metrics.json" >/dev/null \
 jq -e '[.counters[] | select(.name == "serve.worker.spawn") | .total > 0] | any' \
   "$TMP/worker-metrics.json" >/dev/null || fail "worker: serve.worker.spawn not positive in metrics"
 
-echo "serve_smoke: OK ($((CLIENTS * FRAMES_PER_CLIENT)) clean + $((CLIENTS * FRAMES_PER_CLIENT)) chaos + $WORKER_EXPECTED worker-chaos responses, all typed; $TERMINAL terminal worker crashes, accounting exact; graceful drains)"
+# --- Phase 4: one connection, >=5000 pipelined frames ----------------
+# The client writes frames while the daemon answers; a client that wrote
+# everything before reading would fill both socket buffers and hang.
+PIPELINED=5000
+start_daemon "$TMP/pipe.sock" ""
+for i in $(seq 1 "$PIPELINED"); do
+  if [ $((i % 2)) -eq 0 ]; then
+    printf '{"id":%d,"op":"ping"}\n' "$i"
+  else
+    printf '{"id":%d,"op":"solve","source":"size 3\\nE 0 1\\nE 1 2\\nE 2 0\\n","target":"size 2\\nE 0 1\\nE 1 0\\n"}\n' "$i"
+  fi
+done >"$TMP/pipe-frames.jsonl"
+timeout 120 "$BIN" request --socket "$TMP/pipe.sock" <"$TMP/pipe-frames.jsonl" >"$TMP/pipe.jsonl" \
+  || fail "pipelining: cqc request failed or hung"
+[ "$(wc -l <"$TMP/pipe.jsonl")" -eq "$PIPELINED" ] \
+  || fail "pipelining: expected $PIPELINED responses, got $(wc -l <"$TMP/pipe.jsonl")"
+jq -e -s --argjson n "$PIPELINED" '
+  ([.[] | .id] == [range(1; $n + 1)])
+  and ([.[] | select(.op == "solve") | .verdict == "unsat"] | all)
+  and ([.[] | select(.status != "ok")] | length == 0)' \
+  "$TMP/pipe.jsonl" >/dev/null || fail "pipelining: responses out of order or wrong"
+stop_daemon "pipelining"
+
+# --- Phase 5: start -> request -> SIGTERM cycles ----------------------
+# A SIGTERM must never be lost in the accept loop: each daemon forks one
+# worker for its solve, and must exit 0 within 10 s with that worker
+# reaped (stop_daemon checks both).
+CYCLES=200
+for cycle in $(seq 1 "$CYCLES"); do
+  sock="$TMP/cycle.sock"
+  "$BIN" serve --socket "$sock" 2>"$TMP/serve.stderr" &
+  SERVE_PID=$!
+  printf '%s\n%s\n' '{"id":1,"op":"ping"}' \
+    '{"id":2,"op":"solve","source":"size 2\nE 0 1\nE 1 0\n","target":"size 2\nE 0 1\nE 1 0\n"}' \
+    | "$BIN" request --socket "$sock" --retry 8 >"$TMP/cycle.jsonl" \
+    || fail "cycle $cycle: request failed"
+  [ "$(jq -s 'map(.status) == ["ok", "ok"]' "$TMP/cycle.jsonl")" = true ] \
+    || fail "cycle $cycle: bad responses"
+  stop_daemon "cycle $cycle"
+done
+
+echo "serve_smoke: OK ($((CLIENTS * FRAMES_PER_CLIENT)) clean + $((CLIENTS * FRAMES_PER_CLIENT)) chaos + $WORKER_EXPECTED worker-chaos responses, all typed; $TERMINAL terminal worker crashes, accounting exact; $PIPELINED pipelined frames; $CYCLES drain cycles; graceful drains)"

@@ -530,17 +530,16 @@ let chaos_tests =
               if site = Fault.Worker then (
                 (* The worker site is only consulted when a solve forks,
                    so this one needs a sandboxed config. *)
-                let cfg =
-                  {
-                    (Server.default_config ()) with
-                    Server.sandbox = Some (Serve.Worker.create_pool ());
-                  }
+                let cfg = Server.sandboxed (Server.default_config ()) in
+                let injected =
+                  with_faults spec (fun () ->
+                      for i = 1 to 20 do
+                        ignore (handle cfg (chaos_frame i))
+                      done;
+                      Fault.injected_count ())
                 in
-                with_faults spec (fun () ->
-                    for i = 1 to 20 do
-                      ignore (handle cfg (chaos_frame i))
-                    done;
-                    Fault.injected_count ()))
+                Option.iter Serve.Worker.shutdown cfg.Server.sandbox;
+                injected)
               else fst (chaos_run ~frames:50 ~spec)
             in
             check (spec ^ " injects") true (injected > 0))
@@ -574,15 +573,49 @@ module Dump = Serve.Dump
 let quick_limits =
   { Worker.mem_bytes = None; cpu_seconds = None; wall_seconds = 10. }
 
-let exec ?(limits = quick_limits) compute =
-  Worker.execute ~limits ~id:Json.Null compute
+let no_dump ~crash:_ ~detail:_ ~attempts:_ = None
 
-let expect_crash name result pred =
-  match result with
-  | Error (crash, detail) ->
-    check (name ^ " class") true (pred crash);
-    check (name ^ " has detail") true (String.length detail > 0)
-  | Ok j -> Alcotest.failf "%s: expected a crash, got %s" name (Json.to_string j)
+(* A pool whose workers answer every line with [serve ~node_cap line]
+   as their single frame. *)
+let test_pool ?(limits = quick_limits) serve =
+  Worker.create_pool ~limits
+    ~serve:(fun ~node_cap line ->
+      { Worker.frames = [ serve ~node_cap line ]; report = [] })
+    ()
+
+(* One request through a fresh one-worker pool, which is drained after;
+   returns the response and the pool's stats before the drain. *)
+let supervised ?limits serve =
+  let pool = test_pool ?limits serve in
+  let j = Worker.supervise pool ~id:(Json.Int 1) ~dump:no_dump "request" in
+  let st = Worker.stats pool in
+  Worker.shutdown pool;
+  check_int "drained" 0 (Worker.stats pool).Worker.live;
+  (j, st)
+
+let contains ~needle s =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+(* The request crashed on both attempts: the typed code-6 response names
+   [crash_class], its message contains [detail], and both deaths were
+   counted under that class. *)
+let expect_crash name (j, (st : Worker.stats)) ~crash_class ~detail ~counted =
+  check (name ^ " code 6") true (Json.int_member "code" j = Some 6);
+  check_str (name ^ " class") crash_class
+    (Option.value (Json.string_member "crash" j) ~default:"<none>");
+  let message = Option.value (Json.string_member "message" j) ~default:"" in
+  check (name ^ " detail: " ^ message) true (contains ~needle:detail message);
+  check_int (name ^ " counted under its class") 2 (counted st);
+  check_int (name ^ " retried once") 1 st.Worker.retries
+
+let expect_frames name (j, (st : Worker.stats)) =
+  check_int (name ^ " completed") 1 st.Worker.completed;
+  check_int (name ^ " no crash") 0 st.Worker.crashes_total;
+  match j with
+  | Json.List frames -> frames
+  | j -> Alcotest.failf "%s: expected frames, got %s" name (Json.to_string j)
 
 (* The synthetic-crasher structure: one BOOM tuple arms the hook. *)
 let boom_structure =
@@ -592,114 +625,114 @@ let with_abort spec f =
   Unix.putenv "CQCSP_TEST_ABORT" spec;
   Fun.protect ~finally:(fun () -> Unix.putenv "CQCSP_TEST_ABORT" "") f
 
-let create_test_pool () =
-  Worker.create_pool
-    ~limits:{ Worker.mem_bytes = None; cpu_seconds = None; wall_seconds = 10. }
-    ()
+let boom ~node_cap:_ _ =
+  Worker.test_abort_hook boom_structure;
+  Json.Null
+
+let burn_cpu seconds =
+  let t0 = Sys.time () in
+  while Sys.time () -. t0 < seconds do
+    ignore (Sys.opaque_identity 0)
+  done
+
+let spin ~node_cap:_ _ =
+  while true do
+    ignore (Sys.opaque_identity 0)
+  done;
+  Json.Null
 
 let worker_tests =
   [
     Alcotest.test_case "healthy compute returns its frame" `Quick (fun () ->
-        match exec (fun () -> Json.Obj [ ("x", Json.Int 7) ]) with
-        | Ok (Json.Obj [ ("x", Json.Int 7) ]) -> ()
-        | Ok j -> Alcotest.failf "wrong frame: %s" (Json.to_string j)
-        | Error (_, d) -> Alcotest.failf "unexpected crash: %s" d);
+        match expect_frames "healthy" (supervised (fun ~node_cap:_ _ -> Json.Obj [ ("x", Json.Int 7) ])) with
+        | [ Json.Obj [ ("x", Json.Int 7) ] ] -> ()
+        | _ -> Alcotest.fail "wrong frames");
     Alcotest.test_case "exceptions in compute are typed responses, not crashes"
       `Quick (fun () ->
-        match exec (fun () -> Core.Error.bad_input "nope") with
-        | Ok j ->
+        match
+          expect_frames "exception"
+            (supervised (fun ~node_cap:_ _ -> Core.Error.bad_input "nope"))
+        with
+        | [ j ] ->
           check "bad_input" true (Json.string_member "error" j = Some "bad_input")
-        | Error (_, d) -> Alcotest.failf "unexpected crash: %s" d);
+        | _ -> Alcotest.fail "expected one frame");
     Alcotest.test_case "SIGKILL classifies as a signal crash" `Quick (fun () ->
         expect_crash "kill"
-          (exec (fun () ->
+          (supervised (fun ~node_cap:_ _ ->
                Unix.kill (Unix.getpid ()) Sys.sigkill;
                Json.Null))
-          (function Core.Error.Crash_signal s -> s = Sys.sigkill | _ -> false));
+          ~crash_class:"signal" ~detail:"SIGKILL"
+          ~counted:(fun st -> st.Worker.crashes_signal));
     Alcotest.test_case "SIGSEGV via the abort hook classifies as a signal crash"
       `Quick (fun () ->
         with_abort "segv:BOOM" (fun () ->
-            expect_crash "segv"
-              (exec (fun () ->
-                   Worker.test_abort_hook boom_structure;
-                   Json.Null))
-              (function
-                | Core.Error.Crash_signal s -> s = Sys.sigsegv | _ -> false)));
+            expect_crash "segv" (supervised boom) ~crash_class:"signal"
+              ~detail:"SIGSEGV" ~counted:(fun st -> st.Worker.crashes_signal)));
     Alcotest.test_case "clean nonzero exit classifies as an exit crash" `Quick
       (fun () ->
         with_abort "exit:BOOM" (fun () ->
-            expect_crash "exit"
-              (exec (fun () ->
-                   Worker.test_abort_hook boom_structure;
-                   Json.Null))
-              (function Core.Error.Crash_exit 3 -> true | _ -> false)));
+            expect_crash "exit" (supervised boom) ~crash_class:"exit"
+              ~detail:"code 3" ~counted:(fun st -> st.Worker.crashes_exit)));
     Alcotest.test_case "half-written frame classifies as a protocol crash"
       `Quick (fun () ->
-        (* Exiting 0 without writing the frame is exactly what a child
+        (* Exiting 0 without writing the frame is exactly what a worker
            dying mid-write looks like from the parent. *)
         expect_crash "protocol"
-          (exec (fun () ->
+          (supervised (fun ~node_cap:_ _ ->
                if true then Unix._exit 0;
                Json.Null))
-          (function Core.Error.Crash_protocol -> true | _ -> false));
+          ~crash_class:"protocol" ~detail:"half-written"
+          ~counted:(fun st -> st.Worker.crashes_protocol));
+    Alcotest.test_case "oversized reply frame classifies as a protocol crash"
+      `Quick (fun () ->
+        (* A frame past the cap is garbage: the worker is killed and
+           replaced rather than read further. *)
+        expect_crash "garbled"
+          (supervised (fun ~node_cap:_ _ ->
+               Json.String (String.make (17 * 1024 * 1024) 'x')))
+          ~crash_class:"protocol" ~detail:"exceeds the cap"
+          ~counted:(fun st -> st.Worker.crashes_protocol));
     Alcotest.test_case "watchdog timeout kills and classifies a spinning child"
       `Quick (fun () ->
         let limits = { quick_limits with Worker.wall_seconds = 0.3 } in
-        expect_crash "watchdog"
-          (exec ~limits (fun () ->
-               while true do
-                 ignore (Sys.opaque_identity 0)
-               done;
-               Json.Null))
-          (function Core.Error.Crash_watchdog -> true | _ -> false));
+        expect_crash "watchdog" (supervised ~limits spin)
+          ~crash_class:"watchdog" ~detail:"watchdog"
+          ~counted:(fun st -> st.Worker.crashes_watchdog));
     Alcotest.test_case "RLIMIT_CPU overrun classifies as a cpu crash" `Slow
       (fun () ->
         let limits =
           { quick_limits with Worker.cpu_seconds = Some 1; wall_seconds = 30. }
         in
-        expect_crash "cpu"
-          (exec ~limits (fun () ->
-               while true do
-                 ignore (Sys.opaque_identity 0)
-               done;
-               Json.Null))
-          (function Core.Error.Crash_cpu -> true | _ -> false));
+        expect_crash "cpu" (supervised ~limits spin) ~crash_class:"cpu"
+          ~detail:"SIGXCPU" ~counted:(fun st -> st.Worker.crashes_cpu));
     Alcotest.test_case "allocation over the memory ceiling answers oom" `Quick
       (fun () ->
         let limits =
           { quick_limits with Worker.mem_bytes = Some (64 * 1024 * 1024) }
         in
-        match
-          exec ~limits (fun () ->
+        let j, st =
+          supervised ~limits (fun ~node_cap:_ _ ->
               (* Far over the 64 MiB ceiling in one allocation. *)
               ignore (Sys.opaque_identity (Bytes.create (1 lsl 30)));
               Json.Null)
-        with
-        | Ok j ->
-          (* The child caught Out_of_memory and answered the typed oom
-             crash response itself. *)
-          check "worker_crash" true
-            (Json.string_member "error" j = Some "worker_crash");
-          check "oom class" true (Json.string_member "crash" j = Some "oom")
-        | Error (crash, _) ->
-          (* Equally acceptable: the runtime aborted before the handler
-             could answer. *)
-          check "oom-adjacent death" true
-            (match crash with
-            | Core.Error.Crash_signal _ | Core.Error.Crash_oom
-            | Core.Error.Crash_exit _ ->
-              true
-            | _ -> false));
+        in
+        check "worker_crash" true (Json.string_member "error" j = Some "worker_crash");
+        (* Either the worker caught Out_of_memory and answered the typed
+           oom frame itself — which still replaces the worker — or the
+           runtime aborted before it could answer. *)
+        check "oom or oom-adjacent death" true
+          (match Json.string_member "crash" j with
+          | Some ("oom" | "signal" | "exit") -> true
+          | _ -> false);
+        check_int "both attempts crashed" 2 st.Worker.crashes_total);
     Alcotest.test_case "supervise: crash, degraded retry, typed code 6" `Quick
       (fun () ->
-        let pool = create_test_pool () in
-        let j =
-          Worker.supervise pool ~id:(Json.Int 9)
-            ~dump:(fun ~crash:_ ~detail:_ ~attempts:_ -> None)
-            (fun ~degraded:_ ->
+        let pool =
+          test_pool (fun ~node_cap:_ _ ->
               Unix.kill (Unix.getpid ()) Sys.sigkill;
               Json.Null)
         in
+        let j = Worker.supervise pool ~id:(Json.Int 9) ~dump:no_dump "request" in
         check "status error" true (Json.string_member "status" j = Some "error");
         check "kind" true (Json.string_member "error" j = Some "worker_crash");
         check "code 6" true (Json.int_member "code" j = Some 6);
@@ -709,23 +742,56 @@ let worker_tests =
         check_int "both attempts crashed" 2 st.Worker.crashes_total;
         check_int "one retry" 1 st.Worker.retries;
         check_int "no completion" 0 st.Worker.completed;
+        check_int "each attempt had its own worker" 2 st.Worker.spawned;
         check_int "nothing live" 0 st.Worker.live);
     Alcotest.test_case "supervise: first crash, retry succeeds" `Quick
       (fun () ->
-        let pool = create_test_pool () in
+        let pool =
+          Worker.create_pool ~limits:quick_limits ~retry_nodes:77
+            ~serve:(fun ~node_cap _ ->
+              (* The first attempt dies; the degraded retry sees the node
+                 cap and answers with it. *)
+              if node_cap = None then Unix.kill (Unix.getpid ()) Sys.sigkill;
+              {
+                Worker.frames =
+                  [ Json.Obj [ ("cap", Json.Int (Option.value node_cap ~default:0)) ] ];
+                report = [];
+              })
+            ()
+        in
         let j =
           Worker.supervise pool ~id:Json.Null
             ~dump:(fun ~crash:_ ~detail:_ ~attempts:_ ->
               Alcotest.fail "dump must not be written when the retry succeeds")
-            (fun ~degraded ->
-              if not degraded then Unix.kill (Unix.getpid ()) Sys.sigkill;
-              Json.Obj [ ("ok", Json.Bool true) ])
+            "request"
         in
-        check "retry answer" true (Json.bool_member "ok" j = Some true);
+        check "retry answer carries the node cap" true
+          (j = Json.List [ Json.Obj [ ("cap", Json.Int 77) ] ]);
         let st = Worker.stats pool in
         check_int "one crash" 1 st.Worker.crashes_total;
         check_int "one retry" 1 st.Worker.retries;
-        check_int "one completion" 1 st.Worker.completed);
+        check_int "one completion" 1 st.Worker.completed;
+        check_int "the retry's fresh worker stays" 1 st.Worker.live;
+        Worker.shutdown pool);
+    Alcotest.test_case "terminal crash spools exactly one dump" `Quick
+      (fun () ->
+        let dumps = ref [] in
+        let pool =
+          test_pool (fun ~node_cap:_ _ ->
+              Unix.kill (Unix.getpid ()) Sys.sigkill;
+              Json.Null)
+        in
+        let j =
+          Worker.supervise pool ~id:(Json.Int 3)
+            ~dump:(fun ~crash ~detail:_ ~attempts ->
+              dumps := (Core.Error.crash_class_name crash, attempts) :: !dumps;
+              Some "/spool/crash.json")
+            "request"
+        in
+        check "one dump of the second crash" true (!dumps = [ ("signal", 2) ]);
+        check "response names it" true
+          (Json.string_member "dump" j = Some "/spool/crash.json");
+        check_int "dumps counted" 1 (Worker.stats pool).Worker.dumps);
     Alcotest.test_case "degraded limits halve time, keep memory" `Quick
       (fun () ->
         let l =
@@ -747,16 +813,35 @@ let worker_tests =
     Alcotest.test_case "abort hook is inert without its trigger relation"
       `Quick (fun () ->
         (* All in-process: the hook must be a no-op when disarmed, when
-           the relation is absent, and when it is empty — otherwise this
-           test runner would die here. *)
+           the relation is absent, when it is empty, and outside a
+           sandbox child even when armed — otherwise this test runner
+           would die here. *)
         Worker.test_abort_hook boom_structure;
         with_abort "segv:ABSENT" (fun () ->
             Worker.test_abort_hook boom_structure);
         with_abort "segv:BOOM" (fun () ->
             Worker.test_abort_hook
-              (parse_structure "size 1\nrel BOOM 1\n"));
+              (parse_structure "size 1\nrel BOOM 1\n");
+            Worker.test_abort_hook boom_structure);
         with_abort "garbage-spec" (fun () ->
             Worker.test_abort_hook boom_structure));
+    Alcotest.test_case "execute: a one-shot child answers, and its death is classified"
+      `Quick (fun () ->
+        (match
+           Worker.execute ~limits:quick_limits ~id:Json.Null (fun () ->
+               Json.Obj [ ("x", Json.Int 7) ])
+         with
+        | Ok (Json.Obj [ ("x", Json.Int 7) ]) -> ()
+        | Ok j -> Alcotest.failf "wrong frame: %s" (Json.to_string j)
+        | Error (_, d) -> Alcotest.failf "unexpected crash: %s" d);
+        with_abort "exit:BOOM" (fun () ->
+            match
+              Worker.execute ~limits:quick_limits ~id:Json.Null (fun () ->
+                  Worker.test_abort_hook boom_structure;
+                  Json.Null)
+            with
+            | Error (Core.Error.Crash_exit 3, _) -> ()
+            | _ -> Alcotest.fail "expected an exit crash"));
     Alcotest.test_case "dump round-trips through its JSON encoding" `Quick
       (fun () ->
         let d =
@@ -799,6 +884,116 @@ let worker_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The persistent pool                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let sandboxed ?(limits = quick_limits) () =
+  Server.sandboxed ~limits (Server.default_config ())
+
+let pool_of cfg =
+  match cfg.Server.sandbox with
+  | Some pool -> pool
+  | None -> Alcotest.fail "config has no sandbox"
+
+let stats_of cfg = handle cfg "{\"id\":0,\"op\":\"stats\"}"
+
+let member_int path j =
+  let rec go j = function
+    | [] -> ( match j with Json.Int n -> n | _ -> Alcotest.fail "not an int")
+    | k :: rest -> (
+      match Json.member k j with
+      | Some v -> go v rest
+      | None -> Alcotest.failf "missing %s" k)
+  in
+  go j path
+
+let pool_tests =
+  [
+    Alcotest.test_case "sequential requests reuse one worker" `Quick (fun () ->
+        let cfg = sandboxed () in
+        for i = 1 to 12 do
+          let j = handle cfg (solve_frame ~id:i ~certify:true triangle k2) in
+          expect_verdict "unsat" j "triangle->k2"
+        done;
+        let batch =
+          Printf.sprintf "[%s,%s]" (solve_frame ~id:20 k2 k2)
+            (solve_frame ~id:21 k2 triangle)
+        in
+        (match Json.parse (Server.handle_line cfg batch) with
+        | Json.List [ a; b ] ->
+          expect_verdict "sat" a "batch k2->k2";
+          expect_verdict "unsat" b "batch k2->triangle"
+        | _ -> Alcotest.fail "expected a two-member batch response");
+        let st = stats_of cfg in
+        check_int "one worker spawned" 1 (member_int [ "workers"; "spawned" ] st);
+        check_int "it is still live" 1 (member_int [ "workers"; "live" ] st);
+        (* The cache the stats op reports is the worker's. *)
+        check_int "worker cache hits" 12 (member_int [ "cache"; "hits" ] st);
+        check_int "worker cache misses" 2 (member_int [ "cache"; "misses" ] st);
+        (match Json.member "cache" st |> Option.map (Json.member "templates") with
+        | Some (Some (Json.List l)) -> check_int "resident templates" 2 (List.length l)
+        | _ -> Alcotest.fail "stats cache lacks templates");
+        Worker.shutdown (pool_of cfg));
+    Alcotest.test_case "per-request RLIMIT_CPU: spin dies of SIGXCPU after earlier CPU use"
+      `Slow (fun () ->
+        (* Three requests each burn 0.6 s of CPU against a 1 s allowance:
+           only a ceiling re-armed before every request lets the worker
+           live through all three.  The spinning request must still die
+           of SIGXCPU, not the watchdog. *)
+        with_abort "spin:BOOM" (fun () ->
+            let limits =
+              { quick_limits with Worker.cpu_seconds = Some 1; wall_seconds = 30. }
+            in
+            let pool =
+              test_pool ~limits (fun ~node_cap:_ line ->
+                  if line = "boom" then Worker.test_abort_hook boom_structure
+                  else burn_cpu 0.6;
+                  Json.String line)
+            in
+            for _ = 1 to 3 do
+              match Worker.supervise pool ~id:Json.Null ~dump:no_dump "burn" with
+              | Json.List [ Json.String "burn" ] -> ()
+              | j -> Alcotest.failf "burn request failed: %s" (Json.to_string j)
+            done;
+            check_int "one worker served all three" 1
+              (Worker.stats pool).Worker.spawned;
+            let j = Worker.supervise pool ~id:Json.Null ~dump:no_dump "boom" in
+            check "cpu crash" true (Json.string_member "crash" j = Some "cpu");
+            check_int "both attempts hit RLIMIT_CPU" 2
+              (Worker.stats pool).Worker.crashes_cpu;
+            Worker.shutdown pool));
+    Alcotest.test_case "a watchdog kill is followed by a correctly served request"
+      `Quick (fun () ->
+        with_abort "spin:BOOM" (fun () ->
+            let cfg =
+              sandboxed ~limits:{ quick_limits with Worker.wall_seconds = 0.4 } ()
+            in
+            let boom = "size 2\nrel E 2\nrel BOOM 1\nE 0 1\nBOOM 0\n" in
+            let j = handle cfg (solve_frame ~id:1 boom "size 1\nrel E 2\nrel BOOM 1\n") in
+            check "watchdog crash" true (Json.string_member "crash" j = Some "watchdog");
+            let j = handle cfg (solve_frame ~id:2 ~certify:true triangle k2) in
+            expect_verdict "unsat" j "after the watchdog";
+            check "certified" true (Json.bool_member "certified" j = Some true);
+            let st = Worker.stats (pool_of cfg) in
+            check_int "two killed, one healthy" 3 st.Worker.spawned;
+            check_int "the healthy one is live" 1 st.Worker.live;
+            Worker.shutdown (pool_of cfg)));
+    Alcotest.test_case "drain reaps every worker" `Quick (fun () ->
+        let cfg = sandboxed () in
+        ignore (handle cfg (solve_frame ~id:1 k2 k2));
+        let pool = pool_of cfg in
+        check_int "one live worker" 1 (Worker.stats pool).Worker.live;
+        Worker.shutdown pool;
+        let st = Worker.stats pool in
+        check_int "live = 0" 0 st.Worker.live;
+        check_int "retired at drain" 1 st.Worker.retired;
+        (* A request after the drain gets a typed crash, not a worker. *)
+        let j = handle cfg (solve_frame ~id:2 k2 k2) in
+        check "code 6 after drain" true (Json.int_member "code" j = Some 6);
+        check_int "no worker forked after drain" 1 (Worker.stats pool).Worker.spawned);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Sandboxed chaos: worker kills with exact restart accounting          *)
 (* ------------------------------------------------------------------ *)
 
@@ -817,18 +1012,16 @@ let sandbox_chaos_tests =
       "worker-site chaos: kills are retried, counted, and never escape" `Slow
       (fun () ->
         let spool = temp_spool () in
-        let pool = create_test_pool () in
-        let cfg =
-          {
-            (Server.default_config ()) with
-            Server.sandbox = Some pool;
-            spool_dir = Some spool;
-          }
-        in
+        let cfg = { (sandboxed ()) with Server.spool_dir = Some spool } in
+        let pool = pool_of cfg in
         let frames = 300 in
         let terminal = ref 0 in
+        (* Frames that reach a worker: every solve and contain, the
+           bad-structure one included (its text is parsed there). *)
+        let forwarded = ref 0 in
         with_faults "worker:1337:0.25" (fun () ->
             for i = 1 to frames do
+              if List.mem (i mod 10) [ 1; 2; 3; 4; 6; 9 ] then incr forwarded;
               let j = handle cfg (chaos_frame i) in
               if Json.string_member "error" j = Some "worker_crash" then
                 incr terminal
@@ -837,20 +1030,23 @@ let sandbox_chaos_tests =
         check "kills actually happened" true (st.Worker.crashes_total > 0);
         (* Exact accounting: every crash is either absorbed by the one
            degraded retry or surfaces as exactly one terminal worker_crash
-           response; every spawn either completes or crashes. *)
+           response; every attempt completes or crashes; every worker
+           ever forked is live, retired or dead of a crash. *)
         check_int "crashes = retries + terminal responses"
           st.Worker.crashes_total
           (st.Worker.retries + !terminal);
-        check_int "spawns = completions + crashes" st.Worker.spawned
+        check_int "attempts = completions + crashes"
+          (!forwarded + st.Worker.retries)
           (st.Worker.completed + st.Worker.crashes_total);
+        check_int "spawns = live + retired + crashes" st.Worker.spawned
+          (st.Worker.live + st.Worker.retired + st.Worker.crashes_total);
         check_int "terminal crashes all spooled a dump" !terminal
           st.Worker.dumps;
-        check_int "no leaked children" 0 st.Worker.live);
+        Worker.shutdown pool;
+        check_int "no leaked workers" 0 (Worker.stats pool).Worker.live);
     Alcotest.test_case "sandboxed solve answers match in-process answers"
       `Quick (fun () ->
-        let sandboxed =
-          { (Server.default_config ()) with Server.sandbox = Some (create_test_pool ()) }
-        in
+        let sandboxed = sandboxed () in
         let j = handle sandboxed (solve_frame ~id:1 k2 k2) in
         expect_verdict "sat" j "sandboxed k2->k2";
         let j = handle sandboxed (solve_frame ~id:2 ~certify:true triangle k2) in
@@ -858,24 +1054,21 @@ let sandbox_chaos_tests =
         check "certified through the pipe" true
           (Json.bool_member "certified" j = Some true);
         let j = handle sandboxed (solve_frame ~id:3 ~max_nodes:1 triangle k2) in
-        expect_verdict "unknown" j "sandboxed starved solve");
+        expect_verdict "unknown" j "sandboxed starved solve";
+        Worker.shutdown (pool_of sandboxed));
     Alcotest.test_case "terminal crash response names its spooled dump" `Quick
       (fun () ->
         let spool = temp_spool () in
-        let cfg =
-          {
-            (Server.default_config ()) with
-            Server.sandbox = Some (create_test_pool ());
-            spool_dir = Some spool;
-          }
-        in
         let boom =
           "size 2\nrel E 2\nrel BOOM 1\nE 0 1\nBOOM 0\nBOOM 1\n"
         in
         let target = "size 1\nrel E 2\nrel BOOM 1\n" in
         let j =
           with_abort "kill:BOOM" (fun () ->
-              handle cfg (solve_frame ~id:42 boom target))
+              let cfg = { (sandboxed ()) with Server.spool_dir = Some spool } in
+              Fun.protect
+                ~finally:(fun () -> Worker.shutdown (pool_of cfg))
+                (fun () -> handle cfg (solve_frame ~id:42 boom target)))
         in
         check "code 6" true (Json.int_member "code" j = Some 6);
         let path =
@@ -886,14 +1079,7 @@ let sandbox_chaos_tests =
         match Dump.read path with
         | Ok d ->
           check "dump records the request line" true
-            (let line = d.Dump.line in
-             let needle = "BOOM" in
-             let rec has i =
-               i + String.length needle <= String.length line
-               && (String.sub line i (String.length needle) = needle
-                  || has (i + 1))
-             in
-             has 0);
+            (contains ~needle:"BOOM" d.Dump.line);
           check "dump records the abort spec" true
             (d.Dump.abort_spec = Some "kill:BOOM");
           check_int "two attempts" 2 d.Dump.attempts
@@ -910,5 +1096,6 @@ let () =
       ("handler", handler_tests);
       ("chaos", chaos_tests);
       ("worker", worker_tests);
+      ("worker-pool", pool_tests);
       ("sandbox-chaos", sandbox_chaos_tests);
     ]
