@@ -108,4 +108,5 @@ let () =
     (fun name -> (List.assoc name Experiments.all) ())
     wanted_tables;
   if wanted_micro then run_micro ();
+  Experiments.fail_on_regressions ();
   Format.printf "@.All experiments completed; all embedded correctness assertions held.@."

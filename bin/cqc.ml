@@ -772,9 +772,10 @@ let selfcheck count seed max_nodes threads metrics_json trace_out =
       with_telemetry ~command:"selfcheck" ~metrics_json ~trace_out @@ fun () ->
       let report = Core.Selfcheck.run ~max_nodes ~count ~seed ~threads () in
       Format.printf
-        "%d instance(s): %d decided by at least one route, %d skipped@."
+        "%d instance(s): %d decided by at least one route, %d skipped, %d \
+         count/stream skipped@."
         report.Core.Selfcheck.instances report.Core.Selfcheck.checked
-        report.Core.Selfcheck.skipped;
+        report.Core.Selfcheck.skipped report.Core.Selfcheck.count_skipped;
       match report.Core.Selfcheck.issues with
       | [] ->
         Format.printf "no disagreements, no rejected certificates@.";

@@ -93,47 +93,28 @@ let of_graph a b =
     | Some c -> Some c
     | None -> odd_walk a b)
 
-let of_acyclic a b =
+let of_acyclic (forest : Treewidth.Hypergraph.join_forest) a b =
   match trivial_unsat a b with
   | Some c -> Some c
   | None ->
-    Option.map
-      (fun forest ->
-        Certificate.Semijoin_empty
-          {
-            facts =
-              Array.map
-                (fun (symbol, fact) -> { Certificate.symbol; fact })
-                forest.Treewidth.Hypergraph.facts;
-            parent = forest.Treewidth.Hypergraph.parent;
-          })
-      (Treewidth.Hypergraph.join_forest a)
+    Some
+      (Certificate.Semijoin_empty
+         {
+           facts =
+             Array.map (fun (symbol, fact) -> { Certificate.symbol; fact }) forest.facts;
+           parent = forest.parent;
+         })
 
-let of_treewidth td a b =
+let of_treewidth plan a b =
   match trivial_unsat a b with
   | Some c -> Some c
   | None ->
-    (* Root every component the way the DP does (node 0 first), so the
-       checker recomputes the very same bottom-up tables. *)
-    let adj = Treewidth.Tree_decomposition.adjacency td in
-    let nodes = Treewidth.Tree_decomposition.node_count td in
-    let parent = Array.make nodes (-1) in
-    let visited = Array.make nodes false in
-    let rec dfs u p =
-      visited.(u) <- true;
-      parent.(u) <- p;
-      List.iter (fun v -> if not visited.(v) then dfs v u) adj.(u)
-    in
-    for u = 0 to nodes - 1 do
-      if not visited.(u) then dfs u (-1)
-    done;
+    let open Treewidth.Join_plan in
     Some
       (Certificate.Dp_empty
          {
-           bags =
-             Array.map (List.sort_uniq Int.compare)
-               td.Treewidth.Tree_decomposition.bags;
-           parent;
+           bags = Array.init (node_count plan) (fun u -> Array.to_list (vars plan u));
+           parent = parent plan;
          })
 
 (* The emptied winning family arrives as the game's chronological log of

@@ -25,16 +25,16 @@ val of_graph : Structure.t -> Structure.t -> Certificate.t option
 (** Empty-relation fact, or an odd closed walk of the source paired with a
     proper 2-colouring of the (bipartite) target. *)
 
-val of_acyclic : Structure.t -> Structure.t -> Certificate.t option
-(** The GYO join forest, for the checker to re-run the semi-joins on. *)
+val of_acyclic :
+  Treewidth.Hypergraph.join_forest -> Structure.t -> Structure.t -> Certificate.t option
+(** The join forest the acyclic route's plan was built on, for the checker
+    to re-run the semi-joins on. *)
 
 val of_treewidth :
-  Treewidth.Tree_decomposition.t ->
-  Structure.t ->
-  Structure.t ->
-  Certificate.t option
-(** The decomposition's bags and parent pointers, for the checker to
-    re-run the dynamic program on. *)
+  Treewidth.Join_plan.t -> Structure.t -> Structure.t -> Certificate.t option
+(** The bags and parent pointers of a plan built by
+    {!Treewidth.Join_plan.of_decomposition}, for the checker to re-run the
+    dynamic program on. *)
 
 val of_consistency :
   trace:(Certificate.config * int) list -> Structure.t -> Certificate.t

@@ -2,7 +2,13 @@ open Relational
 
 type issue = { seed : int; what : string }
 
-type report = { instances : int; checked : int; skipped : int; issues : issue list }
+type report = {
+  instances : int;
+  checked : int;
+  skipped : int;
+  count_skipped : int;
+  issues : issue list;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic instance generation (independent of the generators'    *)
@@ -120,9 +126,11 @@ let routes ~budget a b =
             else None));
     guard "acyclic-yannakakis" (fun () ->
         claim_of (fun () ->
-            if Treewidth.Hypergraph.is_acyclic a then
-              Some (Treewidth.Hypergraph.solve_acyclic a b <> None)
-            else None));
+            Option.map
+              (fun forest ->
+                Treewidth.Join_plan.(solve ~budget:(budget ()) (of_join_forest forest a b))
+                <> None)
+              (Treewidth.Hypergraph.join_forest a)));
     guard "treewidth-dp" (fun () ->
         claim_of (fun () ->
             Some (Treewidth.Td_solver.solve ~budget:(budget ()) a b <> None)));
@@ -235,6 +243,35 @@ let pebble_differential ?pool note ~budget a b =
         end))
   | _ -> ()
 
+(* Instances with more answers than this skip the count and stream legs:
+   the brute-force oracle materializes every answer. *)
+let answer_cap = 10_000
+
+(* The count and stream ops against brute-force backtracking:
+   [Enumerate.count] must equal [Homomorphism.count], and the stream must
+   yield exactly the answers of [Homomorphism.search_seq], each once.
+   [false] when the legs were skipped (too many answers, or an exhausted
+   budget). *)
+let count_stream_legs note ~budget a b =
+  match Homomorphism.count ~budget:(budget ()) a b with
+  | naive when naive <= answer_cap -> (
+    let sorted seq = List.sort compare (List.map Array.to_list (List.of_seq seq)) in
+    match
+      ( Enumerate.count ~budget:(budget ()) a b,
+        sorted (Enumerate.stream ~budget:(budget ()) a b),
+        sorted (Homomorphism.search_seq ~budget:(budget ()) a b) )
+    with
+    | counted, streamed, naive_answers ->
+      if counted <> naive then
+        note (Printf.sprintf "count: enumerate counts %d, brute force %d" counted naive);
+      if streamed <> naive_answers then
+        note
+          (Printf.sprintf "stream: %d streamed answer(s) differ from the %d brute-force ones"
+             (List.length streamed) naive);
+      true
+    | exception Budget.Exhausted _ -> false)
+  | _ | (exception Budget.Exhausted _) -> false
+
 (* The full portfolio, with its verdict checked against its own
    certificate by the trusted checker. *)
 let portfolio ~budget ?booleanize_threshold ?max_treewidth ?consistency_k
@@ -301,6 +338,7 @@ let check_instance ~max_nodes ?(threads = 1) ?pool seed a b =
     (routes ~budget a b);
   ac_differential ?pool note a b;
   pebble_differential ?pool note ~budget a b;
+  let counted = count_stream_legs note ~budget a b in
   (* Cross-route agreement: no Yes may meet a No. *)
   let yes = List.filter (fun (_, c) -> c = Yes) !claims in
   let no = List.filter (fun (_, c) -> c = No) !claims in
@@ -311,7 +349,7 @@ let check_instance ~max_nodes ?(threads = 1) ?pool seed a b =
          (show No))
   | _ -> ());
   let decided = List.exists (fun (_, c) -> c <> Skip) !claims in
-  (!issues, decided)
+  (!issues, decided, counted)
 
 (* Containment instances: certify the Chandra–Merlin reduction end to
    end. *)
@@ -357,14 +395,17 @@ let run ?(max_nodes = 50_000) ?(count = 500) ?(seed = 0) ?(threads = 1) () =
     ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
   @@ fun () ->
   let instances = ref 0 and checked = ref 0 and skipped = ref 0 in
+  let count_skipped = ref 0 in
   let issues = ref [] in
   for i = 0 to count - 1 do
     let s = seed + i in
     incr instances;
     Telemetry.count "selfcheck.instances" 1;
-    let found, decided =
+    let found, decided, counted =
       match
-        if s mod 7 = 6 then containment_check ~max_nodes ~threads s
+        if s mod 7 = 6 then
+          let found, decided = containment_check ~max_nodes ~threads s in
+          (found, decided, true)
         else
           let a, b = instance s in
           check_instance ~max_nodes ~threads ?pool s a b
@@ -372,11 +413,19 @@ let run ?(max_nodes = 50_000) ?(count = 500) ?(seed = 0) ?(threads = 1) () =
       | r -> r
       | exception e ->
         ( [ { seed = s; what = "unexpected exception: " ^ Printexc.to_string e } ],
+          false,
           false )
     in
+    if not counted then incr count_skipped;
     Telemetry.count (if decided then "selfcheck.decided" else "selfcheck.skipped") 1;
     Telemetry.count "selfcheck.issues" (List.length found);
     if decided then incr checked else incr skipped;
     issues := !issues @ found
   done;
-  { instances = !instances; checked = !checked; skipped = !skipped; issues = !issues }
+  {
+    instances = !instances;
+    checked = !checked;
+    skipped = !skipped;
+    count_skipped = !count_skipped;
+    issues = !issues;
+  }

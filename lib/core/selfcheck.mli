@@ -8,8 +8,12 @@
     with every via-preprocess certificate validated by the trusted
     checker), MAC backtracking, both Schaefer algorithms, Booleanization,
     Hell–Nešetřil, Yannakakis, the treewidth DP, and the one-sided
-    2-consistency refutation.  Every seventh seed instead runs a random
-    containment instance end to end through {!Solver.solve_containment}.
+    2-consistency refutation.  The count and stream ops are checked on
+    the same instance: [Enumerate.count] against [Homomorphism.count],
+    and [Enumerate.stream] against [Homomorphism.search_seq] as answer
+    sets, on every instance with at most 10{^ 4} answers.  Every seventh
+    seed instead runs a random containment instance end to end through
+    {!Solver.solve_containment}.
 
     Issues are collected, never raised: a definite disagreement between
     two routes, a certificate the trusted {!Certificate.check} rejects, a
@@ -31,6 +35,9 @@ type report = {
   instances : int;  (** Seeds examined. *)
   checked : int;  (** Seeds on which at least one route gave a definite answer. *)
   skipped : int;  (** Seeds on which every route skipped or exhausted. *)
+  count_skipped : int;
+      (** Homomorphism seeds whose count and stream legs were skipped: more
+          than 10{^ 4} answers, or an exhausted budget. *)
   issues : issue list;  (** Empty iff the solver passed the self-check. *)
 }
 

@@ -73,6 +73,21 @@ type route_answer =
   | Found of Homomorphism.mapping
   | Refuted of (Budget.t -> Certificate.t option)
 
+(* The two join-plan routes: the plan is built once from the join forest
+   (resp. decomposition) the dispatcher already holds, and a refutation's
+   certificate hands the checker that plan's facts (resp. bags) and
+   parent pointers to replay. *)
+let acyclic_route forest a b s =
+  match Treewidth.Join_plan.(solve ~budget:s (of_join_forest forest a b)) with
+  | Some h -> Some (Found h)
+  | None -> Some (Refuted (fun _ -> Certify.of_acyclic forest a b))
+
+let treewidth_route td a b s =
+  let plan = Treewidth.Join_plan.of_decomposition td a b in
+  match Treewidth.Join_plan.solve ~budget:s plan with
+  | Some h -> Some (Found h)
+  | None -> Some (Refuted (fun _ -> Certify.of_treewidth plan a b))
+
 let solve_seq ~max_treewidth ~consistency_k ~booleanize_threshold ~budget a b =
   let attempts = ref [] in
   let solve_span = Telemetry.begin_span "solver.solve" in
@@ -186,24 +201,16 @@ let solve_seq ~max_treewidth ~consistency_k ~booleanize_threshold ~budget a b =
       | Schaefer.Booleanize.Not_schaefer _ -> None
   in
   let try_acyclic () =
-    if Treewidth.Hypergraph.is_acyclic a then
-      attempt Acyclic (fun s ->
-          Budget.check s;
-          match Treewidth.Hypergraph.solve_acyclic a b with
-          | Some h -> Some (Found h)
-          | None -> Some (Refuted (fun _ -> Certify.of_acyclic a b)))
-    else None
+    match Treewidth.Hypergraph.join_forest a with
+    | Some forest -> attempt Acyclic (acyclic_route forest a b)
+    | None -> None
   in
   let try_treewidth () =
     match Treewidth.Td_solver.decompose a with
     | td ->
       let w = Treewidth.Tree_decomposition.width td in
       if w > max_treewidth then None
-      else
-        attempt ~frac:4 (Bounded_treewidth w) (fun s ->
-            match Treewidth.Td_solver.solve_with_decomposition ~budget:s td a b with
-            | Some h -> Some (Found h)
-            | None -> Some (Refuted (fun _ -> Certify.of_treewidth td a b)))
+      else attempt ~frac:4 (Bounded_treewidth w) (treewidth_route td a b)
     | exception Budget.Exhausted reason ->
       record None (Bounded_treewidth max_treewidth) 0 (Exhausted reason);
       None
@@ -353,25 +360,25 @@ let solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
   in
   (* A task body shaped like the sequential [attempt]: [None] = the
      instance is outside the route, [Some (Found / Refuted)] = claim. *)
-  let attempted route f =
-    run_task (fun s ->
-        let sp = Telemetry.begin_span "solver.attempt" in
-        match f s with
-        | Some (Found h) -> one route s sp Decided (Claim_sat (route, h))
-        | Some (Refuted build) -> (
-          match build s with
-          | Some cert -> one route s sp Decided (Claim_unsat (route, cert))
-          | None ->
-            Error.internal
-              "route %s refuted the instance but no checkable certificate \
-               exists (cross-route disagreement)"
-              (route_name route)
-          | exception Budget.Exhausted reason ->
-            one route s sp (Exhausted reason) Claim_none)
-        | None -> one route s sp Inapplicable Claim_none
-        | exception Budget.Exhausted reason ->
-          one route s sp (Exhausted reason) Claim_none)
+  let attempt_in route f s =
+    let sp = Telemetry.begin_span "solver.attempt" in
+    match f s with
+    | Some (Found h) -> one route s sp Decided (Claim_sat (route, h))
+    | Some (Refuted build) -> (
+      match build s with
+      | Some cert -> one route s sp Decided (Claim_unsat (route, cert))
+      | None ->
+        Error.internal
+          "route %s refuted the instance but no checkable certificate \
+           exists (cross-route disagreement)"
+          (route_name route)
+      | exception Budget.Exhausted reason ->
+        one route s sp (Exhausted reason) Claim_none)
+    | None -> one route s sp Inapplicable Claim_none
+    | exception Budget.Exhausted reason ->
+      one route s sp (Exhausted reason) Claim_none
   in
+  let attempted route f = run_task (attempt_in route f) in
   let tasks = ref [] in
   let add t = tasks := t :: !tasks in
   (* Route guards mirror the sequential dispatcher and run on the caller
@@ -427,13 +434,9 @@ let solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
                | exception Budget.Exhausted reason ->
                  one route s sp (Exhausted reason) Claim_none)
              | Schaefer.Booleanize.Not_schaefer _ -> assert false)));
-  if Treewidth.Hypergraph.is_acyclic a then
-    add
-      (attempted Acyclic (fun s ->
-           Budget.check s;
-           match Treewidth.Hypergraph.solve_acyclic a b with
-           | Some h -> Some (Found h)
-           | None -> Some (Refuted (fun _ -> Certify.of_acyclic a b))));
+  Option.iter
+    (fun forest -> add (attempted Acyclic (acyclic_route forest a b)))
+    (Treewidth.Hypergraph.join_forest a);
   add
     (run_task (fun s ->
          match Treewidth.Td_solver.decompose a with
@@ -454,24 +457,7 @@ let solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
          | td ->
            let w = Treewidth.Tree_decomposition.width td in
            if w > max_treewidth then no_contribution
-           else begin
-             let route = Bounded_treewidth w in
-             let sp = Telemetry.begin_span "solver.attempt" in
-             match Treewidth.Td_solver.solve_with_decomposition ~budget:s td a b with
-             | Some h -> one route s sp Decided (Claim_sat (route, h))
-             | None -> (
-               match Certify.of_treewidth td a b with
-               | Some cert -> one route s sp Decided (Claim_unsat (route, cert))
-               | None ->
-                 Error.internal
-                   "route %s refuted the instance but no checkable certificate \
-                    exists (cross-route disagreement)"
-                   (route_name route)
-               | exception Budget.Exhausted reason ->
-                 one route s sp (Exhausted reason) Claim_none)
-             | exception Budget.Exhausted reason ->
-               one route s sp (Exhausted reason) Claim_none
-           end));
+           else attempt_in (Bounded_treewidth w) (treewidth_route td a b) s));
   (* The fused fallback: k-consistency then backtracking under whatever
      pruning the pass produced.  Always applicable, so the race always
      has at least one task that yields a verdict or an Unknown claim. *)

@@ -90,56 +90,27 @@ let evaluate q db =
   match Treewidth.Hypergraph.join_forest body with
   | None -> invalid_arg "Acyclic.evaluate: query body is cyclic"
   | Some forest ->
-    let m = Structure.size db in
+    let plan = Treewidth.Join_plan.of_join_forest forest body db in
+    let parent = Treewidth.Join_plan.parent plan in
     let head_elements =
       List.sort_uniq Int.compare
         (Array.to_list (Array.map (fun v -> List.assoc v index) q.Query.head))
     in
-    let nfacts = Array.length forest.Treewidth.Hypergraph.facts in
-    (* Initial table per fact: matching target tuples over its elements. *)
-    let fact_table f =
-      let name, (t : Tuple.t) = forest.Treewidth.Hypergraph.facts.(f) in
-      let cols = Tuple.elements t in
-      let rel =
-        match Structure.relation db name with
-        | r -> r
-        | exception Not_found -> Relation.empty (Array.length t)
-      in
-      let rows =
-        Relation.fold
-          (fun (t' : Tuple.t) acc ->
-            (* Repetition-consistent tuples, projected to distinct cols. *)
-            let assignment = Hashtbl.create 4 in
-            let ok = ref true in
-            Array.iteri
-              (fun i x ->
-                match Hashtbl.find_opt assignment x with
-                | Some v -> if v <> t'.(i) then ok := false
-                | None -> Hashtbl.replace assignment x t'.(i))
-              t;
-            if !ok then
-              Array.of_list (List.map (Hashtbl.find assignment) cols) :: acc
-            else acc)
-          rel []
-      in
-      { cols; rows = List.sort_uniq Tuple.compare rows }
+    (* One table per plan node: its candidate rows.  Head elements in no
+       fact are the plan's singleton nodes over the whole universe. *)
+    let tables =
+      Array.init (Treewidth.Join_plan.node_count plan) (fun u ->
+          {
+            cols = Array.to_list (Treewidth.Join_plan.vars plan u);
+            rows = Treewidth.Join_plan.candidate_rows plan u;
+          })
     in
-    let tables = Array.init nfacts fact_table in
     (* Bottom-up: join each node into its parent, projecting the child to
        the columns still needed above (parent-shared + head columns). *)
-    let depth = Array.make nfacts 0 in
-    let rec d f =
-      if forest.Treewidth.Hypergraph.parent.(f) < 0 then 0
-      else 1 + d forest.Treewidth.Hypergraph.parent.(f)
-    in
-    Array.iteri (fun f _ -> depth.(f) <- d f) depth;
-    let order =
-      List.sort (fun a b -> compare depth.(b) depth.(a)) (List.init nfacts Fun.id)
-    in
     let roots = ref [] in
-    List.iter
+    Array.iter
       (fun f ->
-        let p = forest.Treewidth.Hypergraph.parent.(f) in
+        let p = parent.(f) in
         if p < 0 then roots := f :: !roots
         else begin
           let keep =
@@ -149,28 +120,13 @@ let evaluate q db =
           in
           tables.(p) <- join tables.(p) (project tables.(f) keep)
         end)
-      order;
+      (Treewidth.Join_plan.order plan);
     (* Combine the roots (different trees share no elements). *)
-    let combined =
+    let full =
       List.fold_left
         (fun acc f -> join acc (project tables.(f) head_elements))
         { cols = []; rows = [ [||] ] }
         !roots
-    in
-    (* Head columns outside every fact range over the whole universe. *)
-    let full =
-      List.fold_left
-        (fun t c ->
-          if List.mem c t.cols then t
-          else
-            {
-              cols = t.cols @ [ c ];
-              rows =
-                List.concat_map
-                  (fun row -> List.init m (fun e -> Array.append row [| e |]))
-                  t.rows;
-            })
-        combined head_elements
     in
     (* Project to the head, honouring order and repetitions. *)
     let col_pos c =

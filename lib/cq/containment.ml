@@ -27,15 +27,15 @@ let contained q1 q2 =
 
 let equivalent q1 q2 = contained q1 q2 && contained q2 q1
 
+let answers head_elements homs =
+  let seen = Tuple.Table.create 64 in
+  Seq.iter (fun h -> Tuple.Table.replace seen (Array.map (fun e -> h.(e)) head_elements) ()) homs;
+  List.sort Tuple.compare (List.of_seq (Tuple.Table.to_seq_keys seen))
+
 let evaluate q db =
   let body, index = Canonical.database_no_head q in
   let head_elements = Array.map (fun v -> List.assoc v index) q.Query.head in
-  let answers =
-    List.map
-      (fun h -> Array.map (fun e -> h.(e)) head_elements)
-      (Homomorphism.enumerate body db)
-  in
-  List.sort_uniq Tuple.compare answers
+  answers head_elements (Homomorphism.search_seq body db)
 
 let contained_via_evaluation q1 q2 =
   check_arities q1 q2;

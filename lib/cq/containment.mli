@@ -24,6 +24,10 @@ val equivalent : Query.t -> Query.t -> bool
 val evaluate : Query.t -> Structure.t -> Tuple.t list
 (** [Q(D)]: the answer relation, as tuples of elements of [D], sorted. *)
 
+val answers : int array -> Homomorphism.mapping Seq.t -> Tuple.t list
+(** [answers head homs]: the distinct projections of the homomorphisms on
+    the head elements, sorted — the answer set the stream folds into. *)
+
 val minimize : Query.t -> Query.t
 (** An equivalent query with the minimum number of body atoms, obtained as
     the core of the canonical database.  Variable names of surviving atoms

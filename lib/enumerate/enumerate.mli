@@ -8,18 +8,16 @@ open Relational
     polynomial-delay enumeration, and this module dispatches on the same
     structural hierarchy as {!Core.Solver}:
 
-    + {b acyclic source} — Yannakakis full reduction (bottom-up then
-      top-down semijoin passes over the GYO join forest), then
-      backtrack-free join enumeration off per-node hash buckets keyed by
-      the parent-shared projection.  After full reduction every surviving
-      candidate tuple extends to a solution, so the delay between
-      consecutive answers is polynomial (one bucket lookup per fact);
-    + {b bounded treewidth} — the sum-product dynamic program of
-      {!Treewidth.Td_solver}, storing {e all} consistent bag assignments
-      per parent-shared key, with answers reconstructed top-down as a
-      lazy product over the decomposition tree (again backtrack-free:
-      an assignment is recorded only when every child bucket is
-      non-empty);
+    + {b acyclic source} — {!Treewidth.Join_plan} over the GYO join
+      forest: one bottom-up semijoin pass stores the surviving candidate
+      tuples per node, bucketed by their parent-shared projection, and
+      the answers are read off top-down.  A tuple survives only when
+      every child bucket it induces is non-empty, so the descent never
+      backtracks and the delay between consecutive answers is polynomial
+      (one bucket lookup per fact);
+    + {b bounded treewidth} — the same pass over a tree decomposition,
+      storing every bag assignment that satisfies the bag's facts and
+      every child bucket, with the same backtrack-free descent;
     + {b general fallback} — the budget/telemetry-metered MAC
       backtracking search, pulled through
       {!Relational.Homomorphism.search_seq}.
@@ -39,8 +37,8 @@ open Relational
     power computed with overflow-checked arithmetic. *)
 
 type route =
-  | Acyclic  (** Yannakakis full reducer + backtrack-free buckets. *)
-  | Bounded_treewidth of int  (** DP witness reconstruction at this width. *)
+  | Acyclic  (** Join plan over the GYO join forest. *)
+  | Bounded_treewidth of int  (** Join plan over a decomposition of this width. *)
   | Backtracking  (** General MAC search, streamed. *)
 
 val route_name : route -> string
@@ -84,9 +82,9 @@ val count :
 (** Exact number of homomorphisms [A -> B] without enumerating them
     when a tractable route applies: connected-component product rule
     (deduplicated components raised to their multiplicity) over
-    per-component sum-product counting — join-forest DP for acyclic
-    components, tree-decomposition DP for bounded treewidth, exhaustive
-    backtracking otherwise.  Never applies folding or core retraction:
+    per-component {!Treewidth.Join_plan.count} — over the join forest
+    for acyclic components, over a tree decomposition for bounded
+    treewidth — and exhaustive backtracking otherwise.  Never applies folding or core retraction:
     those shrinks do not preserve counts.  All arithmetic is
     overflow-checked.
     @raise Homomorphism.Count_overflow when the total leaves the native

@@ -69,125 +69,6 @@ let join_forest a =
 
 let is_acyclic a = join_forest a <> None
 
-(* Candidate images of one fact: target tuples matching the fact's
-   repetition pattern. *)
-let candidates b (name, (t : Tuple.t)) =
-  let rel =
-    match Structure.relation b name with
-    | r -> r
-    | exception Not_found -> Relation.empty (Array.length t)
-  in
-  Relation.fold
-    (fun (t' : Tuple.t) acc ->
-      let ok = ref true in
-      Array.iteri
-        (fun i x ->
-          Array.iteri (fun j y -> if x = y && t'.(i) <> t'.(j) then ok := false) t)
-        t;
-      if !ok then t' :: acc else acc)
-    rel []
-
-let shared_positions (t_child : Tuple.t) (t_parent : Tuple.t) =
-  (* For each element occurring in both tuples: one position in each. *)
-  let pos_of (t : Tuple.t) x =
-    let rec find i = if t.(i) = x then i else find (i + 1) in
-    find 0
-  in
-  List.filter_map
-    (fun x ->
-      if Array.exists (( = ) x) t_parent then Some (pos_of t_child x, pos_of t_parent x)
-      else None)
-    (Tuple.elements t_child)
-
-let solve_acyclic a b =
-  match join_forest a with
-  | None -> invalid_arg "Hypergraph.solve_acyclic: source structure is not acyclic"
-  | Some forest ->
-    let n = Structure.size a and m = Structure.size b in
-    if n = 0 then Some [||]
-    else if m = 0 then None
-    else begin
-      let nfacts = Array.length forest.facts in
-      let cands = Array.map (fun fact -> candidates b fact) forest.facts in
-      (* Children before parents: process in an order where every node
-         comes before its parent. *)
-      let order =
-        let depth = Array.make nfacts 0 in
-        let rec d e = if forest.parent.(e) < 0 then 0 else 1 + d (forest.parent.(e)) in
-        Array.iteri (fun e _ -> depth.(e) <- d e) depth;
-        List.sort
-          (fun e f -> compare depth.(f) depth.(e))
-          (List.init nfacts Fun.id)
-      in
-      let feasible = ref true in
-      (* Bottom-up semi-joins. *)
-      List.iter
-        (fun e ->
-          if !feasible then begin
-            if cands.(e) = [] then feasible := false
-            else begin
-              let p = forest.parent.(e) in
-              if p >= 0 then begin
-                let _, te = forest.facts.(e) and _, tp = forest.facts.(p) in
-                let shared = shared_positions te tp in
-                (* Hash semijoin: one pass over the child to collect the
-                   projections on the shared positions, one pass over the
-                   parent to probe them — O(|child| + |parent|) instead of
-                   the quadratic nested scan. *)
-                let child_pos = Array.of_list (List.map fst shared) in
-                let parent_pos = Array.of_list (List.map snd shared) in
-                let keys = Tuple.Table.create (2 * List.length cands.(e)) in
-                List.iter
-                  (fun (te' : Tuple.t) ->
-                    Tuple.Table.replace keys (Array.map (fun i -> te'.(i)) child_pos) ())
-                  cands.(e);
-                cands.(p) <-
-                  List.filter
-                    (fun (tp' : Tuple.t) ->
-                      Tuple.Table.mem keys (Array.map (fun j -> tp'.(j)) parent_pos))
-                    cands.(p);
-                if cands.(p) = [] then feasible := false
-              end
-            end
-          end)
-        order;
-      if not !feasible then None
-      else begin
-        (* Top-down extraction. *)
-        let mapping = Array.make n (-1) in
-        let assign_fact e (t' : Tuple.t) =
-          let _, t = forest.facts.(e) in
-          Array.iteri (fun i x -> mapping.(x) <- t'.(i)) t
-        in
-        let top_down = List.rev order in
-        List.iter
-          (fun e ->
-            let _, te = forest.facts.(e) in
-            let choice =
-              List.find
-                (fun (te' : Tuple.t) ->
-                  (* Compatible with values already fixed by ancestors. *)
-                  let ok = ref true in
-                  Array.iteri
-                    (fun i x ->
-                      if mapping.(x) >= 0 && mapping.(x) <> te'.(i) then ok := false)
-                    te;
-                  !ok)
-                cands.(e)
-            in
-            assign_fact e choice)
-          top_down;
-        Array.iteri (fun i v -> if v < 0 then mapping.(i) <- 0) mapping;
-        if Homomorphism.is_homomorphism a b mapping then Some mapping
-        else
-          (* The running-intersection property should make this impossible;
-             fail loudly if the forest was somehow degenerate. *)
-          invalid_arg "Hypergraph.solve_acyclic: extraction failed"
-      end
-    end
-
-let exists_acyclic a b = solve_acyclic a b <> None
-
 let generalized_hypertree_width_upper a =
   let n = Structure.size a in
   if n = 0 then 0

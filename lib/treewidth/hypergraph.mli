@@ -1,12 +1,11 @@
 open Relational
 
-(** Acyclic structures (querywidth 1, Section 5 discussion) and the
-    Yannakakis semi-join algorithm.
+(** Acyclic structures (querywidth 1, Section 5 discussion).
 
     A structure is acyclic when the GYO reduction of its hypergraph of facts
-    succeeds; acyclic sources admit a linear-time homomorphism test by
-    bottom-up semi-joins over a join forest — the Yannakakis algorithm that
-    the bounded-querywidth results generalize. *)
+    succeeds.  The reduction's join forest is the plan that {!Join_plan}
+    runs the Yannakakis semi-joins over — the linear-time homomorphism
+    test that the bounded-querywidth results generalize. *)
 
 type join_forest = {
   facts : (string * Tuple.t) array;  (** One node per fact of the source. *)
@@ -17,22 +16,6 @@ val join_forest : Structure.t -> join_forest option
 (** [None] when the structure's hypergraph is cyclic. *)
 
 val is_acyclic : Structure.t -> bool
-
-val candidates : Structure.t -> string * Tuple.t -> Tuple.t list
-(** [candidates b fact]: target tuples of the fact's relation matching
-    its repetition pattern — the candidate images of one source fact. *)
-
-val shared_positions : Tuple.t -> Tuple.t -> (int * int) list
-(** [shared_positions t_child t_parent]: for each element occurring in
-    both tuples, one position in each, listed in the child tuple's
-    first-occurrence element order.  Projecting two tuples on the
-    respective position lists yields comparable keys for semijoins. *)
-
-val solve_acyclic : Structure.t -> Structure.t -> Homomorphism.mapping option
-(** Yannakakis: bottom-up semi-join filtering, then top-down extraction.
-    @raise Invalid_argument if the source is not acyclic. *)
-
-val exists_acyclic : Structure.t -> Structure.t -> bool
 
 val generalized_hypertree_width_upper : Structure.t -> int
 (** Upper bound on the generalized hypertree width (Gottlob–Leone–Scarcello,

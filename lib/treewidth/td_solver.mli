@@ -11,40 +11,24 @@ open Relational
     canonical databases, gives the polynomial containment test [Q1 ⊆ Q2]
     for [Q2] of bounded treewidth.
 
-    The solving entry points take an optional [?budget], ticked once per
-    enumerated bag assignment; on exhaustion they raise
+    The dynamic program is {!Join_plan}'s one bottom-up pass over the
+    decomposition.  The solving entry points take an optional [?budget],
+    ticked once per enumerated bag assignment; on exhaustion they raise
     [Budget.Exhausted]. *)
 
 val decompose : Structure.t -> Tree_decomposition.t
 (** Min-fill decomposition of the Gaifman graph of a structure. *)
 
-val solve_with_decomposition :
-  ?budget:Budget.t ->
-  Tree_decomposition.t ->
-  Structure.t ->
-  Structure.t ->
-  Homomorphism.mapping option
-(** @raise Invalid_argument if the decomposition is not valid for the
-    source.
-    @raise Budget.Exhausted when [budget] runs out. *)
-
 val solve : ?budget:Budget.t -> Structure.t -> Structure.t -> Homomorphism.mapping option
-(** [solve_with_decomposition] over {!decompose}. *)
+(** {!Join_plan.solve} over the plan of {!decompose}.
+    @raise Budget.Exhausted when [budget] runs out. *)
 
 val exists : Structure.t -> Structure.t -> bool
 
-type stats = {
-  width : int;  (** Width of the decomposition used. *)
-  tables : int;  (** Total partial maps stored across bags. *)
-}
-
-val solve_with_stats :
-  ?budget:Budget.t -> Structure.t -> Structure.t -> Homomorphism.mapping option * stats
-
 val count : ?budget:Budget.t -> Structure.t -> Structure.t -> int
-(** Number of homomorphisms [A -> B], by sum-product dynamic programming
-    over the decomposition — polynomial for bounded treewidth, a classical
-    strengthening of the existence result.  All arithmetic is
+(** Number of homomorphisms [A -> B], by {!Join_plan.count}'s
+    sum-product over the decomposition — polynomial for bounded
+    treewidth, a classical strengthening of the existence result.  All arithmetic is
     overflow-checked: counts grow like [|B|^|A|].
     @raise Homomorphism.Count_overflow when the total leaves the native
     [int] range.

@@ -7,9 +7,10 @@
 
 let () =
   let report = Core.Selfcheck.run ~max_nodes:50_000 ~count:500 ~seed:0 () in
-  Printf.printf "selfcheck: %d instance(s), %d decided, %d skipped\n%!"
+  Printf.printf
+    "selfcheck: %d instance(s), %d decided, %d skipped, %d count/stream skipped\n%!"
     report.Core.Selfcheck.instances report.Core.Selfcheck.checked
-    report.Core.Selfcheck.skipped;
+    report.Core.Selfcheck.skipped report.Core.Selfcheck.count_skipped;
   match report.Core.Selfcheck.issues with
   | [] -> print_endline "selfcheck: no disagreements, no rejected certificates"
   | issues ->

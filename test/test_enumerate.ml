@@ -1,6 +1,6 @@
 (* Streaming enumeration differential: the route-dispatched streams of
-   [Enumerate] must agree with the naive materializing
-   [Homomorphism.enumerate] as a set, and [Enumerate.count] with the
+   [Enumerate] must agree with the naive backtracking stream
+   [Homomorphism.search_seq] as a set, and [Enumerate.count] with the
    length of the full enumeration, across all three routes. *)
 
 open Relational
@@ -38,7 +38,7 @@ let differential ?max_width ~expect_route a b =
   if not (expect_route plan.Enumerate.route) then
     Alcotest.failf "unexpected route %s" (Enumerate.route_name plan.Enumerate.route);
   let streamed = List.of_seq plan.Enumerate.seq in
-  let naive = Homomorphism.enumerate a b in
+  let naive = List.of_seq (Homomorphism.search_seq a b) in
   Alcotest.(check (list (list int)))
     "streamed = naive as a set" (sorted naive) (sorted streamed);
   check_int "count = |enumeration|" (List.length naive)
@@ -176,8 +176,7 @@ let unit_tests =
         let a = Core.Workloads.path 2 and b = Core.Workloads.clique 3 in
         check_int "6 arcs" 6
           (List.length (List.of_seq (Homomorphism.search_seq a b)));
-        check_int "enumerate matches" 6
-          (List.length (Homomorphism.enumerate a b)));
+        check_int "count matches" 6 (Homomorphism.count a b));
     Alcotest.test_case "disconnected source factors" `Quick (fun () ->
         (* Two disjoint edges + an isolated vertex over K3:
            6 * 6 * 3 = 108, deduplicated to one edge part ^2. *)
@@ -196,6 +195,50 @@ let unit_tests =
         check_int "count 0" 0 (Enumerate.count a b));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Deciding never counts: answer sets beyond max_int still decide and   *)
+(* stream, through both join-plan kinds.                                *)
+(* ------------------------------------------------------------------ *)
+
+let never_counts_tests =
+  [
+    Alcotest.test_case "deciding never counts" `Quick (fun () ->
+        let k3 = Core.Workloads.clique 3 in
+        (* 3 * 2^69 resp. 2^70 + 2 homomorphisms, both above max_int. *)
+        let path = Core.Workloads.path 70 and cycle = Core.Workloads.undirected_cycle 70 in
+        let forest =
+          match Treewidth.Hypergraph.join_forest path with
+          | Some f -> f
+          | None -> Alcotest.fail "a path is acyclic"
+        in
+        List.iter
+          (fun (kind, a, plan, expect_route) ->
+            (match Treewidth.Join_plan.solve plan with
+            | Some h -> check (kind ^ ": witness") true (Homomorphism.is_homomorphism a k3 h)
+            | None -> Alcotest.failf "%s: expected a homomorphism" kind);
+            let route = (Enumerate.plan a k3).Enumerate.route in
+            check (kind ^ ": route") true (expect_route route);
+            check (kind ^ ": count overflows") true
+              (match Enumerate.count a k3 with
+              | (_ : int) -> false
+              | exception Homomorphism.Count_overflow -> true);
+            let first = List.of_seq (Enumerate.stream ~limit:5 a k3) in
+            check_int (kind ^ ": 5 distinct answers") 5
+              (List.length (List.sort_uniq compare first));
+            check (kind ^ ": answers are homomorphisms") true
+              (List.for_all (Homomorphism.is_homomorphism a k3) first))
+          [
+            ( "path",
+              path,
+              Treewidth.Join_plan.of_join_forest forest path k3,
+              function Enumerate.Acyclic -> true | _ -> false );
+            ( "cycle",
+              cycle,
+              Treewidth.Join_plan.of_decomposition (Treewidth.Td_solver.decompose cycle) cycle k3,
+              function Enumerate.Bounded_treewidth 2 -> true | _ -> false );
+          ]);
+  ]
+
 let () =
   Alcotest.run "enumerate"
     [
@@ -203,4 +246,5 @@ let () =
       ("differential", differential_tests);
       ("limit", limit_tests);
       ("overflow", overflow_tests);
+      ("never-counts", never_counts_tests);
     ]

@@ -227,7 +227,11 @@ let hom_unit_tests =
     Alcotest.test_case "count endomorphisms of directed C3" `Quick (fun () ->
         check_int "rotations" 3 (Homomorphism.count (directed_cycle 3) (directed_cycle 3)));
     Alcotest.test_case "enumerate respects limit" `Quick (fun () ->
-        check_int "limit" 2 (List.length (Homomorphism.enumerate ~limit:2 (path 2) (clique 3))));
+        let taken = List.of_seq (Seq.take 2 (Homomorphism.search_seq (path 2) (clique 3))) in
+        check_int "limit" 2 (List.length taken);
+        check "distinct homomorphisms" true
+          (List.length (List.sort_uniq compare taken) = 2
+          && List.for_all (Homomorphism.is_homomorphism (path 2) (clique 3)) taken));
     Alcotest.test_case "find returns an actual homomorphism" `Quick (fun () ->
         match Homomorphism.find (undirected_cycle 6) k2 with
         | None -> Alcotest.fail "expected a homomorphism"

@@ -131,8 +131,8 @@ let td_solver_tests =
         check "valid" true (Tree_decomposition.validate_structure s td);
         check_int "width 2 (3-cliques in Gaifman graph)" 2 (Tree_decomposition.width td));
     Alcotest.test_case "stats report width" `Quick (fun () ->
-        let _, stats = Td_solver.solve_with_stats (undirected_cycle 6) k2 in
-        check_int "width 2" 2 stats.Td_solver.width);
+        check_int "width 2" 2
+          (Tree_decomposition.width (Td_solver.decompose (undirected_cycle 6))));
     Alcotest.test_case "empty cases" `Quick (fun () ->
         let empty = Structure.create graph_vocab ~size:0 in
         check "empty source" true (Td_solver.exists empty k2);
@@ -149,6 +149,12 @@ let td_solver_tests =
 (* ------------------------------------------------------------------ *)
 (* Acyclicity and Yannakakis                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* Yannakakis: the join plan over the source's GYO join forest. *)
+let yannakakis a b =
+  Option.map
+    (fun forest -> Join_plan.solve (Join_plan.of_join_forest forest a b))
+    (Hypergraph.join_forest a)
 
 let acyclic_tests =
   [
@@ -173,24 +179,19 @@ let acyclic_tests =
           check_int "one root" 1
             (Array.to_list f.Hypergraph.parent |> List.filter (fun p -> p < 0) |> List.length));
     Alcotest.test_case "yannakakis on paths" `Quick (fun () ->
-        check "path into loop" true
-          (Hypergraph.exists_acyclic (path 4) (digraph ~size:1 [ (0, 0) ]));
-        check "path5 into path3 fails" false (Hypergraph.exists_acyclic (path 5) (path 3));
-        check "path3 into path5" true (Hypergraph.exists_acyclic (path 3) (path 5)));
+        let exists a b = Option.join (yannakakis a b) <> None in
+        check "path into loop" true (exists (path 4) (digraph ~size:1 [ (0, 0) ]));
+        check "path5 into path3 fails" false (exists (path 5) (path 3));
+        check "path3 into path5" true (exists (path 3) (path 5)));
     Alcotest.test_case "cyclic source rejected" `Quick (fun () ->
-        check "raises" true
-          (try
-             ignore (Hypergraph.solve_acyclic (undirected_cycle 3) k2);
-             false
-           with Invalid_argument _ -> true));
+        check "no join forest" true (yannakakis (undirected_cycle 3) k2 = None));
     qtest ~count:300 "yannakakis agrees with brute force on acyclic sources"
       (arbitrary_pair ~max_tuples:4 ())
       (fun (a, b) ->
-        (not (Hypergraph.is_acyclic a))
-        ||
-        match Hypergraph.solve_acyclic a b with
-        | Some h -> Homomorphism.is_homomorphism a b h && brute_force_exists a b
-        | None -> not (brute_force_exists a b));
+        match yannakakis a b with
+        | None -> not (Hypergraph.is_acyclic a)
+        | Some (Some h) -> Homomorphism.is_homomorphism a b h && brute_force_exists a b
+        | Some None -> not (brute_force_exists a b));
   ]
 
 
@@ -313,6 +314,65 @@ let nice_tests =
         && Nice_decomposition.width nice = Tree_decomposition.width td);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Join plans: the edge cases, through both plan kinds                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every plan the source admits: its join forest when acyclic, and its
+   tree decomposition always. *)
+let plans a b =
+  let td = ("decomposition", Join_plan.of_decomposition (Td_solver.decompose a) a b) in
+  match Hypergraph.join_forest a with
+  | Some forest -> [ ("join forest", Join_plan.of_join_forest forest a b); td ]
+  | None -> [ td ]
+
+(* Solve, count and stream must agree with each other and with the
+   expected number of answers (counted by hand: the backtracking oracle
+   ignores nullary facts). *)
+let check_plans ~expect a b =
+  List.iter
+    (fun (kind, plan) ->
+      let answers = List.of_seq (Join_plan.stream plan) in
+      check_int (kind ^ ": count") expect (Join_plan.count plan);
+      check_int (kind ^ ": stream") expect (List.length answers);
+      check_int (kind ^ ": distinct") expect
+        (List.length (List.sort_uniq compare answers));
+      match Join_plan.solve plan with
+      | Some h ->
+        check (kind ^ ": witness") true
+          (expect > 0 && Homomorphism.is_homomorphism a b h)
+      | None -> check_int (kind ^ ": refuted") 0 expect)
+    (plans a b)
+
+let nullary_vocab = Vocabulary.create [ ("P", 0); ("E", 2) ]
+
+let with_p ~p size edges =
+  Structure.of_relations nullary_vocab ~size
+    [ ("P", if p then [ [||] ] else []); ("E", List.map (fun (u, v) -> [| u; v |]) edges) ]
+
+let join_plan_tests =
+  [
+    Alcotest.test_case "free elements range over the target" `Quick (fun () ->
+        (* One edge plus an isolated vertex into K3: 6 * 3. *)
+        check_plans ~expect:18 (digraph ~size:3 [ (0, 1) ]) (clique 3);
+        check_plans ~expect:9 (digraph ~size:2 []) (clique 3));
+    Alcotest.test_case "nullary facts" `Quick (fun () ->
+        let k2p ~p = with_p ~p 2 [ (0, 1); (1, 0) ] in
+        check_plans ~expect:2 (with_p ~p:true 2 [ (0, 1) ]) (k2p ~p:true);
+        check_plans ~expect:0 (with_p ~p:true 2 [ (0, 1) ]) (k2p ~p:false);
+        check_plans ~expect:1 (with_p ~p:true 0 []) (k2p ~p:true);
+        check_plans ~expect:0 (with_p ~p:true 0 []) (k2p ~p:false));
+    Alcotest.test_case "empty source" `Quick (fun () ->
+        check_plans ~expect:1 (Structure.create graph_vocab ~size:0) k2);
+    Alcotest.test_case "empty target" `Quick (fun () ->
+        let empty = Structure.create graph_vocab ~size:0 in
+        check_plans ~expect:0 (path 2) empty;
+        check_plans ~expect:0 (digraph ~size:1 []) empty);
+    Alcotest.test_case "refuting plans empty a node" `Quick (fun () ->
+        check_plans ~expect:0 (path 5) (path 3);
+        check_plans ~expect:0 (undirected_cycle 5) k2);
+  ]
+
 let () =
   Alcotest.run "treewidth"
     [
@@ -320,6 +380,7 @@ let () =
       ("treewidth", treewidth_tests);
       ("td-solver", td_solver_tests);
       ("acyclic", acyclic_tests);
+      ("join-plan", join_plan_tests);
       ("incidence", incidence_tests);
       ("counting", count_tests);
       ("nice", nice_tests);
