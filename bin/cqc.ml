@@ -577,15 +577,13 @@ let count_cmd =
 (* enumerate: stream every homomorphism                                 *)
 (* ------------------------------------------------------------------ *)
 
-let enumerate max_nodes timeout threads limit format metrics_json trace_out a b
-    =
+let enumerate max_nodes timeout limit format metrics_json trace_out a b =
   run (fun () ->
       with_telemetry ~command:"enumerate" ~metrics_json ~trace_out @@ fun () ->
       let a = read_structure a and b = read_structure b in
-      (* --threads-aware cancellation: SIGINT flips the shared cancel flag
-         so an interrupted stream unwinds as a budget-exhausted run
-         (partial answers already flushed, exit 4) instead of dying
-         mid-frame. *)
+      (* SIGINT flips the budget's cancel flag so an interrupted stream
+         unwinds as a budget-exhausted run (partial answers already
+         flushed, exit 4) instead of dying mid-frame. *)
       let cancel = ref false in
       let budget =
         match (max_nodes, timeout) with
@@ -600,43 +598,37 @@ let enumerate max_nodes timeout threads limit format metrics_json trace_out a b
         ~finally:(fun () ->
           Option.iter (fun h -> Sys.set_signal Sys.sigint h) previous)
         (fun () ->
-          let pool =
-            if threads > 1 then Some (Parallel.Pool.create threads) else None
+          let plan = Enumerate.plan ~budget a b in
+          let route = Enumerate.route_name plan.Enumerate.route in
+          let seq =
+            match limit with
+            | Some l -> Seq.take l plan.Enumerate.seq
+            | None -> plan.Enumerate.seq
           in
-          Fun.protect
-            ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
-            (fun () ->
-              let plan = Enumerate.plan ~budget ?pool a b in
-              let route = Enumerate.route_name plan.Enumerate.route in
-              let seq =
-                match limit with
-                | Some l -> Seq.take l plan.Enumerate.seq
-                | None -> plan.Enumerate.seq
-              in
-              let n = ref 0 in
-              Seq.iter
-                (fun h ->
-                  incr n;
-                  match format with
-                  | `Text -> Format.printf "%a@." Relational.Tuple.pp h
-                  | `Jsonl ->
-                    Format.printf "{\"hom\":[%s]}@."
-                      (String.concat ","
-                         (List.map string_of_int (Array.to_list h))))
-                seq;
-              let complete =
-                match limit with Some l -> !n < l | None -> true
-              in
-              (match format with
-              | `Text -> ()
+          let n = ref 0 in
+          Seq.iter
+            (fun h ->
+              incr n;
+              match format with
+              | `Text -> Format.printf "%a@." Relational.Tuple.pp h
               | `Jsonl ->
-                Format.printf
-                  "{\"done\":true,\"count\":%d,\"route\":\"%s\",\"complete\":%b}@."
-                  !n route complete);
-              Format.eprintf "%d answer(s)%s  (route: %s)@." !n
-                (if complete then "" else ", truncated by --limit")
-                route;
-              0)))
+                Format.printf "{\"hom\":[%s]}@."
+                  (String.concat ","
+                     (List.map string_of_int (Array.to_list h))))
+            seq;
+          let complete =
+            match limit with Some l -> !n < l | None -> true
+          in
+          (match format with
+          | `Text -> ()
+          | `Jsonl ->
+            Format.printf
+              "{\"done\":true,\"count\":%d,\"route\":\"%s\",\"complete\":%b}@."
+              !n route complete);
+          Format.eprintf "%d answer(s)%s  (route: %s)@." !n
+            (if complete then "" else ", truncated by --limit")
+            route;
+          0))
 
 let enumerate_cmd =
   let limit =
@@ -680,14 +672,14 @@ let enumerate_cmd =
               retraction.";
          ])
     Term.(
-      const enumerate $ max_nodes_term $ timeout_term $ threads_term $ limit
+      const enumerate $ max_nodes_term $ timeout_term $ limit
       $ format $ metrics_json_term $ trace_out_term
       $ structure_arg ~docv:"SOURCE" 0 $ structure_arg ~docv:"TARGET" 1)
 
-let game k engine show_stats a b =
+let game k show_stats a b =
   run (fun () ->
       let a = read_structure a and b = read_structure b in
-      let wins, stats = Pebble.Game.duplicator_wins_with_stats ~engine ~k a b in
+      let wins, stats = Pebble.Game.duplicator_wins_with_stats ~k a b in
       Format.printf "existential %d-pebble game: %s wins@." k
         (if wins then "the Duplicator" else "the Spoiler");
       Format.printf "partial homomorphisms: %d generated, %d pruned@."
@@ -708,16 +700,6 @@ let game_cmd =
   let k =
     Arg.(value & opt int 2 & info [ "k"; "pebbles" ] ~docv:"K" ~doc:"Number of pebbles.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt (enum [ ("counting", `Counting); ("naive", `Naive) ]) `Counting
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Fixpoint engine: counting (integer-encoded support counters, the \
-             default) or naive (the list-based reference).  Both compute the \
-             identical winning family.")
-  in
   let stats =
     Arg.(
       value & flag
@@ -725,13 +707,14 @@ let game_cmd =
           ~doc:
             "Also print the counting engine's internal counters: configurations \
              ranked, support-counter increments, and deaths propagated through \
-             the worklist (all zero under --engine naive).")
+             the worklist (all zero when the code space exceeds the counting \
+             engine's capacity and the list engine runs instead).")
   in
   Cmd.v
     (Cmd.info "game" ~exits
        ~doc:"Play the existential k-pebble game (strong k-consistency)")
     Term.(
-      const game $ k $ engine $ stats $ structure_arg ~docv:"SOURCE" 0
+      const game $ k $ stats $ structure_arg ~docv:"SOURCE" 0
       $ structure_arg ~docv:"TARGET" 1)
 
 let fo_check formula_text a =

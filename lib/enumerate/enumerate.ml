@@ -28,17 +28,17 @@ let choose ~max_width a b =
     if w <= max_width then (Bounded_treewidth w, Some (Join_plan.of_decomposition td a b))
     else (Backtracking, None)
 
-let plan ?(max_width = 3) ?(budget = Budget.unlimited) ?pool a b =
+let plan ?(max_width = 3) ?(budget = Budget.unlimited) a b =
   let route, join_plan = choose ~max_width a b in
   let seq =
     match join_plan with
     | Some p -> Join_plan.stream ~budget p
-    | None -> Homomorphism.search_seq ~budget ?pool a b
+    | None -> Homomorphism.search_seq ~budget a b
   in
   { route; seq = metered route seq }
 
-let stream ?max_width ?limit ?budget ?pool a b =
-  let { seq; _ } = plan ?max_width ?budget ?pool a b in
+let stream ?max_width ?limit ?budget a b =
+  let { seq; _ } = plan ?max_width ?budget a b in
   match limit with Some l -> Seq.take l seq | None -> seq
 
 (* ------------------------------------------------------------------ *)

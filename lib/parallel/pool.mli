@@ -2,8 +2,8 @@
 
     The pool amortizes [Domain.spawn] cost across many short parallel
     phases: spawning a domain costs hundreds of microseconds, which would
-    dominate the per-round work of the BSP propagation loops in
-    [Arc_consistency] and [Pebble.Game].  A pool of [n] shards owns [n-1]
+    dominate short jobs such as racing the parts of a preprocessed
+    instance in [Core.Solver].  A pool of [n] shards owns [n-1]
     worker domains; the calling domain always participates as shard 0, so
     [create 1] spawns nothing and [run] degenerates to a direct call with
     no synchronization at all — the sequential path stays exact.

@@ -48,16 +48,30 @@ let is_homomorphism a b (h : mapping) =
     a;
   !ok
 
+(* An arity-0 fact of A constrains no element, so arc consistency never
+   sees it: it holds under every mapping or under none. *)
+let nullary_facts_hold a b =
+  List.for_all
+    (fun (name, arity) ->
+      arity > 0
+      || Relation.is_empty (Structure.relation a name)
+      ||
+      match Structure.mem_tuple b name [||] with
+      | holds -> holds
+      | exception Not_found -> false)
+    (Vocabulary.symbols (Structure.vocabulary a))
+
 (* Generic MAC backtracking search.  [on_solution] receives each solution and
    returns [true] to continue enumerating.  [budget] is ticked once per
    search-tree node and may abort the search by raising
    [Budget.Exhausted]. *)
 let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
-    ?(budget = Budget.unlimited) ?pool a b ~on_solution =
+    ?(budget = Budget.unlimited) a b ~on_solution =
   let n = Structure.size a and m = Structure.size b in
   let nodes = ref 0 in
   Budget.check budget;
-  if n = 0 then begin
+  if not (nullary_facts_hold a b) then !nodes
+  else if n = 0 then begin
     ignore (on_solution [||]);
     !nodes
   end
@@ -71,9 +85,7 @@ let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
           if not (Arc_consistency.remove_value ctx x v) then alive := false
       done
     done;
-    (* Only the root establish is sharded: the per-assignment propagations
-       during search are far too fine-grained to win back a barrier. *)
-    if !alive && Arc_consistency.establish ?pool ctx then begin
+    if !alive && Arc_consistency.establish ctx then begin
       let decided = Array.make n false in
       (* Variable choice: minimum-remaining-values, or plain input order
          (kept for the ablation benchmarks). *)
@@ -127,20 +139,20 @@ let search ?(ordering = `Mrv) ?(restrict = fun _ _ -> true)
     !nodes
   end
 
-let find_with_stats ?ordering ?restrict ?budget ?pool a b =
+let find_with_stats ?ordering ?restrict ?budget a b =
   let result = ref None in
   let nodes =
-    search ?ordering ?restrict ?budget ?pool a b ~on_solution:(fun h ->
+    search ?ordering ?restrict ?budget a b ~on_solution:(fun h ->
         result := Some (Array.copy h);
         false)
   in
   (!result, { nodes })
 
-let find ?ordering ?restrict ?budget ?pool a b =
-  fst (find_with_stats ?ordering ?restrict ?budget ?pool a b)
+let find ?ordering ?restrict ?budget a b =
+  fst (find_with_stats ?ordering ?restrict ?budget a b)
 
-let decide ?ordering ?restrict ?budget ?pool a b =
-  match find ?ordering ?restrict ?budget ?pool a b with
+let decide ?ordering ?restrict ?budget a b =
+  match find ?ordering ?restrict ?budget a b with
   | Some h -> Budget.Sat h
   | None -> Budget.Unsat
   | exception Budget.Exhausted reason -> Budget.Unknown reason
@@ -179,10 +191,10 @@ let generator (produce : yield:(mapping -> unit) -> unit) : mapping Seq.t =
             | _ -> None);
       }
 
-let search_seq ?ordering ?restrict ?budget ?pool a b =
+let search_seq ?ordering ?restrict ?budget a b =
   generator (fun ~yield ->
       ignore
-        (search ?ordering ?restrict ?budget ?pool a b ~on_solution:(fun h ->
+        (search ?ordering ?restrict ?budget a b ~on_solution:(fun h ->
              yield (Array.copy h);
              true)))
 
@@ -277,7 +289,7 @@ let fold_candidates a x =
        tuple (self-loop) forces a scan of that relation only. *)
     let q = ref (-1) in
     Array.iteri (fun i e -> if !q < 0 && e <> x then q := i) t;
-    let pool =
+    let matches =
       if !q >= 0 then Relation.Index.matching ix ~pos:!q ~value:t.(!q)
       else Relation.Index.tuples ix
     in
@@ -299,7 +311,7 @@ let fold_candidates a x =
                 else if t'.(i) <> e then ok := false)
             t;
         if !ok && !y >= 0 && !y <> x then Hashtbl.replace cands !y ())
-      pool;
+      matches;
     List.sort compare (Hashtbl.fold (fun y () acc -> y :: acc) cands [])
 
 let core_with_map ?budget a =

@@ -1,9 +1,6 @@
-(* The parallel layer: pool/race primitives, racer budgets, and the
-   differential that justifies the sharded kernels — parallel AC-4 and
-   parallel pebble counting must compute bit-identical fixpoints to their
-   sequential twins on every instance.  Solver racing is covered at the
-   end: verdict agreement across thread counts, with every Unsat passing
-   the trusted certificate checker, and the losers of a race never
+(* The parallel layer: pool/race primitives, racer budgets, and solver
+   racing — verdict agreement across thread counts, with every Unsat
+   passing the trusted certificate checker, and the losers of a race never
    contributing a verdict. *)
 
 open Relational
@@ -142,113 +139,45 @@ let test_charge_accumulates () =
     (Budget.status parent = Some Budget.Node_limit)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: sharded AC-4 vs sequential                            *)
+(* Part racing                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let pair_of_seed seed =
-  QCheck.Gen.generate1
-    ~rand:(Random.State.make [| 0x5eed; seed |])
-    (gen_pair ~max_rels:3 ~max_arity:3 ~max_size_a:8 ~max_size_b:6
-       ~max_tuples:12 ())
-
-let domains_of ctx a =
-  List.init (Structure.size a) (fun x -> Arc_consistency.dom_values ctx x)
-
-let ac_differential_one pool a b =
-  let ctx_seq = Arc_consistency.create a b in
-  let ok_seq = Arc_consistency.establish ctx_seq in
-  let ctx_par = Arc_consistency.create a b in
-  let ok_par = Arc_consistency.establish ~pool ctx_par in
-  check "establish verdict agrees" ok_seq ok_par;
-  (* The AC closure is unique, so consistent outcomes must match exactly.
-     On wipeout both engines stop early, at order-dependent partial
-     states, so only the verdict is comparable. *)
-  if ok_seq then begin
-    Alcotest.(check (list (list int)))
-      "identical arc-consistent domains" (domains_of ctx_seq a)
-      (domains_of ctx_par a);
-    check_int "identical removal counts"
-      (Arc_consistency.removal_count ctx_seq)
-      (Arc_consistency.removal_count ctx_par)
-  end
-
-let test_ac_differential () =
-  let pools = [ Parallel.Pool.create 2; Parallel.Pool.create 3 ] in
-  for seed = 0 to 149 do
-    let a, b = pair_of_seed seed in
-    List.iter (fun pool -> ac_differential_one pool a b) pools
-  done;
-  (* Fixed larger instances whose cascades exceed the inline threshold. *)
-  List.iter
-    (fun (a, b) -> List.iter (fun pool -> ac_differential_one pool a b) pools)
-    [
-      (undirected_cycle 31, k2);
-      (clique 8, clique 6);
-      (path 40, directed_cycle 3);
-      (clique 5, undirected_cycle 7);
-    ];
-  List.iter Parallel.Pool.shutdown pools
-
-(* Parallel establish must leave the context in a state [push]/[pop] can
-   still unwind: assign after a sharded establish, pop, and the domains
-   must come back. *)
-let test_ac_parallel_then_backtrack () =
-  let pool = Parallel.Pool.create 2 in
-  let a = undirected_cycle 6 and b = k2 in
-  let ctx = Arc_consistency.create a b in
-  check "establish succeeds" true (Arc_consistency.establish ~pool ctx);
-  let before = domains_of ctx a in
-  Arc_consistency.push ctx;
-  ignore (Arc_consistency.assign ctx 0 0);
-  Arc_consistency.pop ctx;
-  Alcotest.(check (list (list int)))
-    "pop restores the parallel fixpoint" before (domains_of ctx a);
-  Parallel.Pool.shutdown pool
-
-(* ------------------------------------------------------------------ *)
-(* Differential: sharded pebble counting vs sequential                 *)
-(* ------------------------------------------------------------------ *)
-
-let sorted_family f = List.sort compare f
-
-let pebble_differential_one pool ~k a b =
-  let fam_s, _, (st_s : Pebble.Game.stats) = Pebble.Game.run_traced ~k a b in
-  let fam_p, trace_p, (st_p : Pebble.Game.stats) =
-    Pebble.Game.run_traced ~pool ~k a b
+(* A source whose components survive preprocessing as several distinct
+   parts is solved part by part across a [Parallel.Pool] when
+   [threads > 1]: the verdict must match the sequential one and carry a
+   certificate the trusted checker accepts.  Directed cycles C3, C4, C5
+   are pairwise incomparable (C_m -> C_n iff n divides m), so no part is
+   dropped as dominated by another. *)
+let test_part_racing_agrees () =
+  let dc = directed_cycle in
+  let a = Structure.disjoint_union (Structure.disjoint_union (dc 3) (dc 4)) (dc 5) in
+  let parts (r : Core.Solver.result) =
+    match r.Core.Solver.attempts with
+    | { Core.Solver.route = Core.Solver.Preprocess; counters; _ } :: _ ->
+      Option.value ~default:0 (List.assoc_opt "preprocess.distinct_parts" counters)
+    | _ -> 0
   in
-  check "winning family agrees" true (sorted_family fam_s = sorted_family fam_p);
-  check_int "initial_configs agree" st_s.Pebble.Game.initial_configs
-    st_p.Pebble.Game.initial_configs;
-  check_int "removed agree" st_s.Pebble.Game.removed st_p.Pebble.Game.removed;
-  check_int "supports_built agree" st_s.Pebble.Game.supports_built
-    st_p.Pebble.Game.supports_built;
-  (* A parallel Spoiler win must replay through the trusted checker: the
-     round-concatenated trace is a valid derivation. *)
-  if fam_p = [] && Structure.size a > 0 then
-    check "parallel spoiler trace certifies" true
-      (Certificate.check a b (Core.Certify.of_consistency ~trace:trace_p b))
-
-let test_pebble_differential () =
-  let pools = [ Parallel.Pool.create 2; Parallel.Pool.create 3 ] in
-  for seed = 0 to 79 do
-    let a, b = pair_of_seed seed in
-    List.iter (fun pool -> pebble_differential_one pool ~k:2 a b) pools
-  done;
-  for seed = 80 to 99 do
-    let a, b = pair_of_seed seed in
-    List.iter (fun pool -> pebble_differential_one pool ~k:3 a b) pools
-  done;
-  (* Spoiler-win cascades large enough to leave the inline path. *)
   List.iter
-    (fun (k, a, b) ->
-      List.iter (fun pool -> pebble_differential_one pool ~k a b) pools)
+    (fun (name, b, expected) ->
+      let r1 = Core.Solver.solve a b in
+      Alcotest.(check (option bool))
+        (name ^ ": sequential verdict") (Some expected) (certified_verdict a b r1);
+      List.iter
+        (fun threads ->
+          let rn = Core.Solver.solve ~threads a b in
+          check
+            (Printf.sprintf "%s: threads=%d races several parts" name threads)
+            true (parts rn > 1);
+          Alcotest.(check (option bool))
+            (Printf.sprintf "%s: threads=%d agrees" name threads)
+            (Some expected) (certified_verdict a b rn))
+        [ 2; 3; 4 ])
     [
-      (2, undirected_cycle 9, k2);
-      (3, undirected_cycle 15, k2);
-      (2, clique 4, undirected_cycle 5);
-      (3, clique 4, clique 3);
-    ];
-  List.iter Parallel.Pool.shutdown pools
+      ("into itself", a, true);
+      ("into a loop", dc 1, true);
+      ("into C3 + C4", Structure.disjoint_union (dc 3) (dc 4), false);
+      ("into C2", dc 2, false);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio racing                                                    *)
@@ -359,15 +288,8 @@ let () =
           Alcotest.test_case "user cancel" `Quick test_racer_sees_user_cancel;
           Alcotest.test_case "charge accumulates" `Quick test_charge_accumulates;
         ] );
-      ( "ac differential",
-        [
-          Alcotest.test_case "parallel = sequential" `Quick test_ac_differential;
-          Alcotest.test_case "backtrack after parallel" `Quick
-            test_ac_parallel_then_backtrack;
-        ] );
-      ( "pebble differential",
-        [ Alcotest.test_case "parallel = sequential" `Quick test_pebble_differential ]
-      );
+      ( "part racing on pool",
+        [ Alcotest.test_case "agrees with threads=1" `Quick test_part_racing_agrees ] );
       ( "racing",
         [
           Alcotest.test_case "cancellation" `Quick test_race_cancellation;

@@ -251,6 +251,33 @@ let hom_unit_tests =
         let v2 = Vocabulary.create [ ("E", 2); ("F", 2) ] in
         let a = Structure.of_relations v2 ~size:2 [ ("F", [ [| 0; 1 |] ]) ] in
         check "fails" false (Homomorphism.exists a (clique 3)));
+    Alcotest.test_case "nullary fact missing from the target blocks every mapping"
+      `Quick (fun () ->
+        (* P() holds in the source but not in the target: no mapping of
+           the elements can preserve it, whatever the edges allow. *)
+        let v = Vocabulary.create [ ("E", 2); ("P", 0) ] in
+        let a ~size ~p =
+          Structure.of_relations v ~size
+            [
+              ("E", if size = 2 then [ [| 0; 1 |] ] else []);
+              ("P", if p then [ [||] ] else []);
+            ]
+        in
+        let b ~p =
+          Structure.of_relations v ~size:2
+            [ ("E", [ [| 0; 1 |]; [| 1; 0 |] ]); ("P", if p then [ [||] ] else []) ]
+        in
+        check_int "count, 2-element source" 0
+          (Homomorphism.count (a ~size:2 ~p:true) (b ~p:false));
+        check "find, 0-element source" true
+          (Homomorphism.find (a ~size:0 ~p:true) (b ~p:false) = None);
+        check "search_seq yields nothing" true
+          (Seq.is_empty (Homomorphism.search_seq (a ~size:2 ~p:true) (b ~p:false)));
+        (* With P() in the target the fact is no obstacle. *)
+        check_int "count with the fact present" 2
+          (Homomorphism.count (a ~size:2 ~p:true) (b ~p:true));
+        check "find with the fact present, 0-element source" true
+          (Homomorphism.find (a ~size:0 ~p:true) (b ~p:true) = Some [||]));
     Alcotest.test_case "compose and identity" `Quick (fun () ->
         let h = [| 1; 0; 1 |] and g = [| 5; 7 |] in
         Alcotest.check mapping_testable "compose" [| 7; 5; 7 |] (Homomorphism.compose g h);
