@@ -52,11 +52,12 @@ type result = { verdict : verdict; route : route; attempts : attempt list }
 
 let answer r = match r.verdict with Sat h -> Some h | Unsat _ | Unknown _ -> None
 
-let certificate r =
-  match r.verdict with
+let verdict_certificate = function
   | Sat h -> Some (Certificate.Witness h)
   | Unsat c -> Some c
   | Unknown _ -> None
+
+let certificate r = verdict_certificate r.verdict
 
 let verdict_name = function
   | Sat _ -> "sat"
@@ -64,492 +65,277 @@ let verdict_name = function
   | Unknown reason ->
     Printf.sprintf "unknown (%s)" (Budget.reason_to_string reason)
 
-(* What a route reports before certification: a witness, or a refutation
+(* ------------------------------------------------------------------ *)
+(* The route ladder (DESIGN.md section 15).                             *)
+(*                                                                      *)
+(* Each tractable case of the paper is one stage: a guard that decides  *)
+(* whether the route applies, and a body that runs it under a budget.  *)
+(* The stages are stated once, here, and two dispatchers run them: the  *)
+(* sequential one ([threads = 1]) tries them in order, each under its   *)
+(* share of the allowance still left; the racing one ([threads > 1])    *)
+(* runs every independent stage as its own racer task and the dependent *)
+(* tail — k-consistency, then backtracking under its pruning — as one   *)
+(* task that is the sequential dispatcher over those two stages.        *)
+(* ------------------------------------------------------------------ *)
+
+(* What a route reports before certification: a witness; a refutation
    together with the (possibly expensive) construction of its checkable
-   certificate.  Certification runs under the same budget slice as the
-   route itself; if it exhausts the slice, the answer is withheld and the
-   dispatcher falls through, exactly as for an exhausted route. *)
+   certificate; or, from k-consistency only, sound domain pruning for the
+   stages after it.  Certification runs under the same budget as the
+   route itself; if it exhausts that budget, the answer is withheld and
+   the dispatcher moves on, exactly as for an exhausted route. *)
 type route_answer =
   | Found of Homomorphism.mapping
   | Refuted of (Budget.t -> Certificate.t option)
+  | Narrowed of (int -> int -> bool)
 
-(* The two join-plan routes: the plan is built once from the join forest
-   (resp. decomposition) the dispatcher already holds, and a refutation's
-   certificate hands the checker that plan's facts (resp. bags) and
-   parent pointers to replay. *)
-let acyclic_route forest a b s =
-  match Treewidth.Join_plan.(solve ~budget:s (of_join_forest forest a b)) with
-  | Some h -> Some (Found h)
-  | None -> Some (Refuted (fun _ -> Certify.of_acyclic forest a b))
+(* One stage.  [guard] names the route when it applies and hands back its
+   body; it may do unbudgeted preparatory work (Booleanization, the tree
+   decomposition), so the racing dispatcher runs it inside the stage's task.
+   The body runs under the budget it is given, sees the pruning of an
+   earlier k-consistency pass, and answers [None] when the instance is
+   outside the route, together with the engine counters for the attempt.
+   [share]: the sequential dispatcher gives the stage [1/share] of the node
+   allowance still left. *)
+type stage = { share : int; guard : unit -> (route * body) option }
 
-let treewidth_route td a b s =
-  let plan = Treewidth.Join_plan.of_decomposition td a b in
-  match Treewidth.Join_plan.solve ~budget:s plan with
-  | Some h -> Some (Found h)
-  | None -> Some (Refuted (fun _ -> Certify.of_treewidth plan a b))
+and body =
+  restrict:(int -> int -> bool) option ->
+  Budget.t ->
+  route_answer option * (string * int) list
 
-let solve_seq ~max_treewidth ~consistency_k ~booleanize_threshold ~budget a b =
-  let attempts = ref [] in
-  let solve_span = Telemetry.begin_span "solver.solve" in
-  (* Close the per-attempt span (when one is open) with the attempt's
-     identity as fields, so each emitted span record carries the route,
-     its node consumption, its outcome, and the counter increments the
-     engines performed on its behalf. *)
-  let record ?(counters = []) span route nodes outcome =
+let ladder ~max_treewidth ~consistency_k ~booleanize_threshold a b =
+  let stage ?(share = 1) guard = { share; guard } in
+  let plain f ~restrict:_ s = (f s, []) in
+  let schaefer () =
+    if Structure.size b <> 2 then None
+    else
+      Option.map
+        (fun cls ->
+          ( Schaefer_direct cls,
+            plain (fun s ->
+                match Schaefer.Uniform.solve_direct ~budget:s a b with
+                | Schaefer.Uniform.Hom h -> Some (Found h)
+                | Schaefer.Uniform.No_hom ->
+                  Some (Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b cls))
+                | Schaefer.Uniform.Not_applicable _ -> None) ))
+        (Schaefer.Classify.classify b)
+  in
+  let graph () =
+    if
+      Graph_dichotomy.is_undirected_graph b
+      && Vocabulary.equal (Structure.vocabulary a) (Structure.vocabulary b)
+      && Graph_dichotomy.complexity b = Graph_dichotomy.Polynomial
+    then
+      Some
+        ( Graph_target Graph_dichotomy.Polynomial,
+          plain (fun s ->
+              Budget.check s;
+              match Graph_dichotomy.solve a b with
+              | Some h -> Some (Found h)
+              | None -> Some (Refuted (fun _ -> Certify.of_graph a b))) )
+    else None
+  in
+  let booleanized () =
+    if Structure.size b > booleanize_threshold || Structure.size b < 1 then None
+    else
+      let answer =
+        match Schaefer.Booleanize.solve a b with
+        | Schaefer.Booleanize.Hom h -> Some (Found h)
+        | Schaefer.Booleanize.No_hom ->
+          Some (Refuted (fun s -> Certify.of_booleanized ~budget:s a b))
+        | Schaefer.Booleanize.Not_schaefer _ -> None
+      in
+      Option.map
+        (fun answer ->
+          let cls =
+            Option.value ~default:Schaefer.Classify.Affine
+              (Schaefer.Classify.classify (Schaefer.Booleanize.encode_target b))
+          in
+          (Booleanized cls, plain (fun _ -> Some answer)))
+        answer
+  in
+  (* The two join-plan routes: the plan is built from the join forest
+     (resp. decomposition) the guard computed, and a refutation's
+     certificate hands the checker that plan's facts (resp. bags) and
+     parent pointers to replay. *)
+  let acyclic () =
+    Option.map
+      (fun forest ->
+        ( Acyclic,
+          plain (fun s ->
+              match Treewidth.Join_plan.(solve ~budget:s (of_join_forest forest a b)) with
+              | Some h -> Some (Found h)
+              | None -> Some (Refuted (fun _ -> Certify.of_acyclic forest a b))) ))
+      (Treewidth.Hypergraph.join_forest a)
+  in
+  let treewidth () =
+    let td = Treewidth.Td_solver.decompose a in
+    let w = Treewidth.Tree_decomposition.width td in
+    if w > max_treewidth then None
+    else
+      Some
+        ( Bounded_treewidth w,
+          plain (fun s ->
+              let plan = Treewidth.Join_plan.of_decomposition td a b in
+              match Treewidth.Join_plan.solve ~budget:s plan with
+              | Some h -> Some (Found h)
+              | None -> Some (Refuted (fun _ -> Certify.of_treewidth plan a b))) )
+  in
+  let consistency () =
+    Some
+      ( Consistency_refutation consistency_k,
+        fun ~restrict:_ s ->
+          let family, trace, st = Pebble.Game.run_traced ~budget:s ~k:consistency_k a b in
+          (* The engine's own stats, as structured counters on the attempt.
+             Deliberately derived from the returned stats rather than from
+             telemetry, so attempts are identical whether or not a sink is
+             installed (no observer effect). *)
+          let counters =
+            [
+              ("pebble.configs_ranked", st.Pebble.Game.configs_ranked);
+              ("pebble.deaths_propagated", st.Pebble.Game.deaths_propagated);
+              ("pebble.initial_configs", st.Pebble.Game.initial_configs);
+              ("pebble.removed", st.Pebble.Game.removed);
+              ("pebble.supports_built", st.Pebble.Game.supports_built);
+            ]
+          in
+          if family = [] then
+            (Some (Refuted (fun _ -> Some (Certify.of_consistency ~trace b))), counters)
+          else begin
+            (* Sound pruning: a pair [(x, v)] whose singleton configuration
+               was removed from the winning family lies on no
+               homomorphism, so backtracking may skip it outright. *)
+            let singles = Hashtbl.create 256 in
+            List.iter
+              (function [ (x, v) ] -> Hashtbl.replace singles (x, v) () | _ -> ())
+              family;
+            (Some (Narrowed (fun x v -> Hashtbl.mem singles (x, v))), counters)
+          end )
+  in
+  (* Backtracking certifies a refutation with an independent exhaustive
+     search under what remains of its budget; a witness surfacing there
+     means MAC and the certifying search disagree. *)
+  let backtracking () =
+    Some
+      ( Backtracking,
+        fun ~restrict s ->
+          match Homomorphism.decide ?restrict ~budget:s a b with
+          | Budget.Sat h -> (Some (Found h), [])
+          | Budget.Unsat ->
+            (Some (Refuted (fun s -> Certify.of_backtracking ~budget:s a b)), [])
+          | Budget.Unknown reason -> raise (Budget.Exhausted reason) )
+  in
+  ( [ stage schaefer; stage graph; stage booleanized; stage acyclic;
+      stage ~share:4 treewidth ],
+    [ stage ~share:4 consistency; stage backtracking ] )
+
+(* How a stage that ran ended, for the dispatchers. *)
+type claim =
+  | Claim of verdict  (** [Sat] or certified [Unsat]. *)
+  | Narrow of (int -> int -> bool)
+  | Pass of Budget.exhausted_reason option
+      (** Inapplicable ([None]) or out of budget. *)
+
+(* Run one stage's body under [budget] inside a [solver.attempt] span,
+   closed with the attempt's route, node consumption and outcome.  Budget
+   exhaustion — in the route or while building the refutation certificate
+   — is an [Exhausted] attempt; a refutation whose certificate cannot be
+   built at all is a cross-route disagreement and fails loudly. *)
+let run_stage ~restrict budget route (body : body) =
+  let sp = Telemetry.begin_span "solver.attempt" in
+  let close ?(counters = []) outcome claim =
+    let nodes = Budget.spent budget in
     ignore
-      (Telemetry.end_span span
+      (Telemetry.end_span sp
          ~fields:
            [
              ("route", Telemetry.String (route_name route));
              ("nodes", Telemetry.Int nodes);
              ("outcome", Telemetry.String (outcome_name outcome));
            ]);
-    attempts := { route; nodes; outcome; counters } :: !attempts
+    ({ route; nodes; outcome; counters }, claim)
   in
-  let finish verdict route =
-    ignore
-      (Telemetry.end_span solve_span
-         ~fields:
-           [
-             ("verdict", Telemetry.String (verdict_name verdict));
-             ("route", Telemetry.String (route_name route));
-           ]);
-    { verdict; route; attempts = List.rev !attempts }
-  in
-  (* Domain pruning inherited from a non-refuting k-consistency pass. *)
-  let restriction = ref None in
-  (* One intermediate route's share of the remaining node allowance;
-     backtracking, last in line, gets everything left. *)
-  let slice_for frac =
+  match body ~restrict budget with
+  | Some (Found h), counters -> close ~counters Decided (Claim (Sat h))
+  | Some (Refuted build), counters -> (
+    match build budget with
+    | Some cert -> close ~counters Decided (Claim (Unsat cert))
+    | None ->
+      Error.internal
+        "route %s refuted the instance but no checkable certificate exists \
+         (cross-route disagreement)"
+        (route_name route)
+    | exception Budget.Exhausted reason -> close (Exhausted reason) (Pass (Some reason)))
+  | Some (Narrowed r), counters -> close ~counters Pruned (Narrow r)
+  | None, counters -> close ~counters Inapplicable (Pass None)
+  | exception Budget.Exhausted reason -> close (Exhausted reason) (Pass (Some reason))
+
+(* The sequential dispatcher: the stages in order, each under its share of
+   the allowance still left, k-consistency pruning carried forward, until
+   one decides.  Undecided, the verdict is [Unknown] for the last route
+   that ran out of budget. *)
+let run_ladder ~budget stages =
+  let slice share =
     match Budget.remaining_nodes budget with
     | None -> Budget.slice budget ()
-    | Some r -> Budget.slice budget ~max_nodes:(max 1 (r / frac)) ()
+    | Some r -> Budget.slice budget ~max_nodes:(max 1 (r / share)) ()
   in
-  (* Run one route under its own budget slice.  [f] answers [Some answer]
-     when the route decided, [None] when the instance is outside it;
-     budget exhaustion — in the route or while building the refutation
-     certificate — falls through to the next route.  A refutation whose
-     certificate cannot be built at all is a cross-route disagreement and
-     fails loudly. *)
-  let attempt ?frac route f =
-    let s = match frac with None -> Budget.slice budget () | Some k -> slice_for k in
-    let sp = Telemetry.begin_span "solver.attempt" in
-    match f s with
-    | Some (Found h) ->
-      record sp route (Budget.spent s) Decided;
-      Some (finish (Sat h) route)
-    | Some (Refuted build) -> (
-      match build s with
-      | Some cert ->
-        record sp route (Budget.spent s) Decided;
-        Some (finish (Unsat cert) route)
-      | None ->
-        Error.internal
-          "route %s refuted the instance but no checkable certificate exists \
-           (cross-route disagreement)"
-          (route_name route)
-      | exception Budget.Exhausted reason ->
-        record sp route (Budget.spent s) (Exhausted reason);
-        None)
-    | None ->
-      record sp route (Budget.spent s) Inapplicable;
-      None
-    | exception Budget.Exhausted reason ->
-      record sp route (Budget.spent s) (Exhausted reason);
-      None
+  let rec go restrict attempts ((route, reason) as last) = function
+    | [] -> (List.rev attempts, (Unknown reason, route))
+    | stage :: rest -> (
+      match stage.guard () with
+      | None -> go restrict attempts last rest
+      | Some (route, body) -> (
+        let at, claim = run_stage ~restrict (slice stage.share) route body in
+        let attempts = at :: attempts in
+        match claim with
+        | Claim v -> (List.rev attempts, (v, route))
+        | Narrow r -> go (Some r) attempts last rest
+        | Pass None -> go restrict attempts last rest
+        | Pass (Some reason) -> go restrict attempts (route, reason) rest))
   in
+  go None [] (Backtracking, Budget.Node_limit) stages
 
-  let try_schaefer () =
-    if Structure.size b <> 2 then None
-    else
-      match Schaefer.Classify.classify b with
-      | None -> None
-      | Some cls ->
-        attempt (Schaefer_direct cls) (fun s ->
-            match Schaefer.Uniform.solve_direct ~budget:s a b with
-            | Schaefer.Uniform.Hom h -> Some (Found h)
-            | Schaefer.Uniform.No_hom ->
-              Some (Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b cls))
-            | Schaefer.Uniform.Not_applicable _ -> None)
-  in
-  let try_graph () =
-    if
-      Graph_dichotomy.is_undirected_graph b
-      && Vocabulary.equal (Structure.vocabulary a) (Structure.vocabulary b)
-      && Graph_dichotomy.complexity b = Graph_dichotomy.Polynomial
-    then
-      attempt (Graph_target Graph_dichotomy.Polynomial) (fun s ->
-          Budget.check s;
-          match Graph_dichotomy.solve a b with
-          | Some h -> Some (Found h)
-          | None -> Some (Refuted (fun _ -> Certify.of_graph a b)))
-    else None
-  in
-  let try_booleanize () =
-    if Structure.size b > booleanize_threshold || Structure.size b < 1 then None
-    else
-      let classify () =
-        let bb = Schaefer.Booleanize.encode_target b in
-        Option.value ~default:Schaefer.Classify.Affine (Schaefer.Classify.classify bb)
-      in
-      match Schaefer.Booleanize.solve a b with
-      | Schaefer.Booleanize.Hom h ->
-        attempt (Booleanized (classify ())) (fun _ -> Some (Found h))
-      | Schaefer.Booleanize.No_hom ->
-        attempt (Booleanized (classify ())) (fun _ ->
-            Some (Refuted (fun s -> Certify.of_booleanized ~budget:s a b)))
-      | Schaefer.Booleanize.Not_schaefer _ -> None
-  in
-  let try_acyclic () =
-    match Treewidth.Hypergraph.join_forest a with
-    | Some forest -> attempt Acyclic (acyclic_route forest a b)
-    | None -> None
-  in
-  let try_treewidth () =
-    match Treewidth.Td_solver.decompose a with
-    | td ->
-      let w = Treewidth.Tree_decomposition.width td in
-      if w > max_treewidth then None
-      else attempt ~frac:4 (Bounded_treewidth w) (treewidth_route td a b)
-    | exception Budget.Exhausted reason ->
-      record None (Bounded_treewidth max_treewidth) 0 (Exhausted reason);
-      None
-  in
-  let try_consistency () =
-    let route = Consistency_refutation consistency_k in
-    let s = slice_for 4 in
-    let sp = Telemetry.begin_span "solver.attempt" in
-    (* The engine's own stats, as structured counters on the attempt.
-       Deliberately derived from the returned stats rather than from
-       telemetry, so attempts are identical whether or not a sink is
-       installed (no observer effect). *)
-    let engine_counters (st : Pebble.Game.stats) =
-      [
-        ("pebble.configs_ranked", st.Pebble.Game.configs_ranked);
-        ("pebble.deaths_propagated", st.Pebble.Game.deaths_propagated);
-        ("pebble.initial_configs", st.Pebble.Game.initial_configs);
-        ("pebble.removed", st.Pebble.Game.removed);
-        ("pebble.supports_built", st.Pebble.Game.supports_built);
-      ]
-    in
-    match Pebble.Game.run_traced ~budget:s ~k:consistency_k a b with
-    | [], trace, stats ->
-      record ~counters:(engine_counters stats) sp route (Budget.spent s) Decided;
-      Some (finish (Unsat (Certify.of_consistency ~trace b)) route)
-    | family, _, stats ->
-      (* Sound pruning: a pair [(x, v)] whose singleton configuration was
-         removed from the winning family lies on no homomorphism, so the
-         backtracking route may skip it outright. *)
-      let singles = Hashtbl.create 256 in
-      List.iter
-        (fun cfg ->
-          match cfg with [ (x, v) ] -> Hashtbl.replace singles (x, v) () | _ -> ())
-        family;
-      restriction := Some (fun x v -> Hashtbl.mem singles (x, v));
-      record ~counters:(engine_counters stats) sp route (Budget.spent s) Pruned;
-      None
-    | exception Budget.Exhausted reason ->
-      record sp route (Budget.spent s) (Exhausted reason);
-      None
-  in
-  let backtracking () =
-    let s = Budget.slice budget () in
-    let sp = Telemetry.begin_span "solver.attempt" in
-    let global reason =
-      (* Prefer the global cause (deadline/cancellation) when the whole
-         portfolio is spent. *)
-      match Budget.status budget with Some r -> r | None -> reason
-    in
-    match Homomorphism.decide ?restrict:!restriction ~budget:s a b with
-    | Budget.Sat h ->
-      record sp Backtracking (Budget.spent s) Decided;
-      finish (Sat h) Backtracking
-    | Budget.Unsat -> (
-      (* Certify with an independent exhaustive search under what remains
-         of the slice; a witness surfacing here means MAC and the
-         certifying search disagree. *)
-      match Certify.of_backtracking ~budget:s a b with
-      | Some cert ->
-        record sp Backtracking (Budget.spent s) Decided;
-        finish (Unsat cert) Backtracking
-      | None ->
-        Error.internal
-          "backtracking refuted the instance but the certifying search found \
-           a homomorphism (cross-route disagreement)"
-      | exception Budget.Exhausted reason ->
-        record sp Backtracking (Budget.spent s) (Exhausted reason);
-        finish (Unknown (global reason)) Backtracking)
-    | Budget.Unknown reason ->
-      record sp Backtracking (Budget.spent s) (Exhausted reason);
-      finish (Unknown (global reason)) Backtracking
-  in
-  let ( <|> ) r f = match r with Some _ -> r | None -> f () in
-  let result =
-    try_schaefer ()
-    <|> try_graph
-    <|> try_booleanize
-    <|> try_acyclic
-    <|> try_treewidth
-    <|> try_consistency
-  in
-  match result with Some r -> r | None -> backtracking ()
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio racing (threads > 1).                                      *)
-(*                                                                      *)
-(* Instead of trying routes in sequence, every applicable route runs    *)
-(* concurrently on its own domain under its own [Budget.racer]; the     *)
-(* calling domain consumes finishers in completion order and the first  *)
-(* claim that survives the trusted certificate checker wins.  Accepting *)
-(* a claim raises the shared race flag, which every other racer's       *)
-(* budget polls, so the losers abort with [Cancelled] soon after; their *)
-(* attempts are recorded with the [Cancelled] outcome and their claims  *)
-(* (if they finished anyway) are discarded — a cancelled route never    *)
-(* contributes a verdict.  An Unsat whose certificate fails the checker *)
-(* is dropped (counted as [solver.race.uncertified]) and the race       *)
-(* continues with the next finisher, preserving the proof-carrying      *)
-(* invariant of the sequential dispatcher.                              *)
-(*                                                                      *)
-(* The backtracking route is fused with the k-consistency pass into one *)
-(* task so the pruning chain survives racing: the pass either refutes   *)
-(* outright or seeds the restriction under which backtracking searches, *)
-(* exactly as in the sequential route order.                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A racer's contribution, adjudicated on the calling domain: the
-   attempts it wants recorded (chronological) and at most one claim on
-   the verdict. *)
-type claim =
-  | Claim_sat of route * Homomorphism.mapping
-  | Claim_unsat of route * Certificate.t
-  | Claim_unknown of route * Budget.exhausted_reason
-      (** The fused fallback task ran out: verdict [Unknown] unless some
-          other racer decides. *)
-  | Claim_none
-
-type finisher = { f_attempts : attempt list; f_claim : claim; f_spent : int }
-
-let solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
-    ~threads a b =
-  let solve_span = Telemetry.begin_span "solver.solve" in
+(* The racing dispatcher.  Every task runs under a private [Budget.racer]; the
+   calling domain consumes finishers in completion order, merges their
+   spend, and accepts the first claim that survives the trusted
+   certificate checker.  Accepting raises the shared race flag, which
+   every other racer's budget polls, so the losers abort soon after:
+   their attempts are recorded as [Cancelled] and their claims (if they
+   finished anyway) discarded — a cancelled route never contributes a
+   verdict.  A claim that fails the checker is dropped (counted as
+   [solver.race.uncertified]) and the race goes on.  Only the fused tail
+   can end [Unknown], and that is the verdict only if nothing decides. *)
+let race_ladder ~budget ~threads a b (independent, tail) =
   let race = ref false in
-  let span_fields route nodes outcome =
-    [
-      ("route", Telemetry.String (route_name route));
-      ("nodes", Telemetry.Int nodes);
-      ("outcome", Telemetry.String (outcome_name outcome));
-    ]
-  in
-  (* Every task runs under a private racer budget and returns a
-     finisher; spans open and close on the task's own domain.  Budget
-     exhaustion never escapes a task — a cross-route disagreement
-     ([Error.internal]) still does, loudly, through [Race.run]. *)
-  let run_task body () =
+  (* Racers are made here, on the calling domain, before any spend is
+     charged back, so each starts with the same allowance. *)
+  let task run =
     let s = Budget.racer budget ~cancel:race in
-    let fin = body s in
-    { fin with f_spent = Budget.spent s }
+    fun () ->
+      let attempts, decision = run s in
+      (attempts, decision, Budget.spent s)
   in
-  let no_contribution = { f_attempts = []; f_claim = Claim_none; f_spent = 0 } in
-  let one route s sp outcome claim =
-    ignore (Telemetry.end_span sp ~fields:(span_fields route (Budget.spent s) outcome));
-    {
-      f_attempts = [ { route; nodes = Budget.spent s; outcome; counters = [] } ];
-      f_claim = claim;
-      f_spent = 0;
-    }
+  let alone stage s =
+    match stage.guard () with
+    | None -> ([], None)
+    | Some (route, body) -> (
+      match run_stage ~restrict:None s route body with
+      | at, Claim v -> ([ at ], Some (v, route))
+      | at, (Narrow _ | Pass _) -> ([ at ], None))
   in
-  (* A task body shaped like the sequential [attempt]: [None] = the
-     instance is outside the route, [Some (Found / Refuted)] = claim. *)
-  let attempt_in route f s =
-    let sp = Telemetry.begin_span "solver.attempt" in
-    match f s with
-    | Some (Found h) -> one route s sp Decided (Claim_sat (route, h))
-    | Some (Refuted build) -> (
-      match build s with
-      | Some cert -> one route s sp Decided (Claim_unsat (route, cert))
-      | None ->
-        Error.internal
-          "route %s refuted the instance but no checkable certificate \
-           exists (cross-route disagreement)"
-          (route_name route)
-      | exception Budget.Exhausted reason ->
-        one route s sp (Exhausted reason) Claim_none)
-    | None -> one route s sp Inapplicable Claim_none
-    | exception Budget.Exhausted reason ->
-      one route s sp (Exhausted reason) Claim_none
+  let fused s =
+    let attempts, decision = run_ladder ~budget:s tail in
+    (attempts, Some decision)
   in
-  let attempted route f = run_task (attempt_in route f) in
-  let tasks = ref [] in
-  let add t = tasks := t :: !tasks in
-  (* Route guards mirror the sequential dispatcher and run on the caller
-     where they are cheap; [decompose], which is budgeted, stays inside
-     its task. *)
-  (if Structure.size b = 2 then
-     match Schaefer.Classify.classify b with
-     | Some cls ->
-       add
-         (attempted (Schaefer_direct cls) (fun s ->
-              match Schaefer.Uniform.solve_direct ~budget:s a b with
-              | Schaefer.Uniform.Hom h -> Some (Found h)
-              | Schaefer.Uniform.No_hom ->
-                Some
-                  (Refuted (fun s -> Certify.of_schaefer_direct ~budget:s a b cls))
-              | Schaefer.Uniform.Not_applicable _ -> None))
-     | None -> ());
-  if
-    Graph_dichotomy.is_undirected_graph b
-    && Vocabulary.equal (Structure.vocabulary a) (Structure.vocabulary b)
-    && Graph_dichotomy.complexity b = Graph_dichotomy.Polynomial
-  then
-    add
-      (attempted (Graph_target Graph_dichotomy.Polynomial) (fun s ->
-           Budget.check s;
-           match Graph_dichotomy.solve a b with
-           | Some h -> Some (Found h)
-           | None -> Some (Refuted (fun _ -> Certify.of_graph a b))));
-  if Structure.size b <= booleanize_threshold && Structure.size b >= 1 then
-    add
-      (run_task (fun s ->
-           match Schaefer.Booleanize.solve a b with
-           | Schaefer.Booleanize.Not_schaefer _ -> no_contribution
-           | answer -> (
-             let cls =
-               let bb = Schaefer.Booleanize.encode_target b in
-               Option.value ~default:Schaefer.Classify.Affine
-                 (Schaefer.Classify.classify bb)
-             in
-             let route = Booleanized cls in
-             let sp = Telemetry.begin_span "solver.attempt" in
-             match answer with
-             | Schaefer.Booleanize.Hom h ->
-               one route s sp Decided (Claim_sat (route, h))
-             | Schaefer.Booleanize.No_hom -> (
-               match Certify.of_booleanized ~budget:s a b with
-               | Some cert -> one route s sp Decided (Claim_unsat (route, cert))
-               | None ->
-                 Error.internal
-                   "route %s refuted the instance but no checkable certificate \
-                    exists (cross-route disagreement)"
-                   (route_name route)
-               | exception Budget.Exhausted reason ->
-                 one route s sp (Exhausted reason) Claim_none)
-             | Schaefer.Booleanize.Not_schaefer _ -> assert false)));
-  Option.iter
-    (fun forest -> add (attempted Acyclic (acyclic_route forest a b)))
-    (Treewidth.Hypergraph.join_forest a);
-  add
-    (run_task (fun s ->
-         match Treewidth.Td_solver.decompose a with
-         | exception Budget.Exhausted reason ->
-           {
-             f_attempts =
-               [
-                 {
-                   route = Bounded_treewidth max_treewidth;
-                   nodes = Budget.spent s;
-                   outcome = Exhausted reason;
-                   counters = [];
-                 };
-               ];
-             f_claim = Claim_none;
-             f_spent = 0;
-           }
-         | td ->
-           let w = Treewidth.Tree_decomposition.width td in
-           if w > max_treewidth then no_contribution
-           else attempt_in (Bounded_treewidth w) (treewidth_route td a b) s));
-  (* The fused fallback: k-consistency then backtracking under whatever
-     pruning the pass produced.  Always applicable, so the race always
-     has at least one task that yields a verdict or an Unknown claim. *)
-  add
-    (run_task (fun s ->
-         let attempts = ref [] in
-         let push route nodes outcome counters =
-           attempts := { route; nodes; outcome; counters } :: !attempts
-         in
-         let cons_route = Consistency_refutation consistency_k in
-         let slice =
-           match Budget.remaining_nodes s with
-           | None -> Budget.slice s ()
-           | Some r -> Budget.slice s ~max_nodes:(max 1 (r / 4)) ()
-         in
-         let engine_counters (st : Pebble.Game.stats) =
-           [
-             ("pebble.configs_ranked", st.Pebble.Game.configs_ranked);
-             ("pebble.deaths_propagated", st.Pebble.Game.deaths_propagated);
-             ("pebble.initial_configs", st.Pebble.Game.initial_configs);
-             ("pebble.removed", st.Pebble.Game.removed);
-             ("pebble.supports_built", st.Pebble.Game.supports_built);
-           ]
-         in
-         let restriction = ref None in
-         let sp = Telemetry.begin_span "solver.attempt" in
-         let refutation =
-           match Pebble.Game.run_traced ~budget:slice ~k:consistency_k a b with
-           | [], trace, stats ->
-             let outcome = Decided in
-             ignore
-               (Telemetry.end_span sp
-                  ~fields:(span_fields cons_route (Budget.spent slice) outcome));
-             push cons_route (Budget.spent slice) outcome (engine_counters stats);
-             Some (Claim_unsat (cons_route, Certify.of_consistency ~trace b))
-           | family, _, stats ->
-             let singles = Hashtbl.create 256 in
-             List.iter
-               (fun cfg ->
-                 match cfg with
-                 | [ (x, v) ] -> Hashtbl.replace singles (x, v) ()
-                 | _ -> ())
-               family;
-             restriction := Some (fun x v -> Hashtbl.mem singles (x, v));
-             ignore
-               (Telemetry.end_span sp
-                  ~fields:(span_fields cons_route (Budget.spent slice) Pruned));
-             push cons_route (Budget.spent slice) Pruned (engine_counters stats);
-             None
-           | exception Budget.Exhausted reason ->
-             ignore
-               (Telemetry.end_span sp
-                  ~fields:
-                    (span_fields cons_route (Budget.spent slice) (Exhausted reason)));
-             push cons_route (Budget.spent slice) (Exhausted reason) [];
-             None
-         in
-         match refutation with
-         | Some claim -> { f_attempts = List.rev !attempts; f_claim = claim; f_spent = 0 }
-         | None ->
-           let base = Budget.spent s in
-           let bt_nodes () = Budget.spent s - base in
-           let sp = Telemetry.begin_span "solver.attempt" in
-           let finish_bt outcome claim =
-             ignore
-               (Telemetry.end_span sp
-                  ~fields:(span_fields Backtracking (bt_nodes ()) outcome));
-             push Backtracking (bt_nodes ()) outcome [];
-             { f_attempts = List.rev !attempts; f_claim = claim; f_spent = 0 }
-           in
-           (match Homomorphism.decide ?restrict:!restriction ~budget:s a b with
-           | Budget.Sat h -> finish_bt Decided (Claim_sat (Backtracking, h))
-           | Budget.Unsat -> (
-             match Certify.of_backtracking ~budget:s a b with
-             | Some cert -> finish_bt Decided (Claim_unsat (Backtracking, cert))
-             | None ->
-               Error.internal
-                 "backtracking refuted the instance but the certifying search \
-                  found a homomorphism (cross-route disagreement)"
-             | exception Budget.Exhausted reason ->
-               finish_bt (Exhausted reason) (Claim_unknown (Backtracking, reason)))
-           | Budget.Unknown reason ->
-             finish_bt (Exhausted reason) (Claim_unknown (Backtracking, reason)))));
-  let tasks = Array.of_list (List.rev !tasks) in
-  let attempts = ref [] in
-  let winner = ref None in
-  let fallback = ref None in
-  let consume (ev : finisher Parallel.Race.event) =
-    let f = ev.Parallel.Race.value in
-    (* Merge the racer's spend before adjudicating, so the portfolio
-       budget reflects all work performed on its behalf. *)
-    Budget.charge budget f.f_spent;
+  let tasks =
+    Array.of_list (List.map (fun st -> task (alone st)) independent @ [ task fused ])
+  in
+  let attempts = ref [] and winner = ref None and fallback = ref None in
+  let consume (ev : _ Parallel.Race.event) =
+    let tried, decision, spent = ev.Parallel.Race.value in
+    Budget.charge budget spent;
     let lost = !winner <> None in
     (* After a winner: a finisher's decision was discarded and a racer
        aborted by the race flag lost — both are [Cancelled].  A
@@ -562,54 +348,51 @@ let solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
         { at with outcome = Cancelled }
       | _ -> at
     in
-    List.iter (fun at -> attempts := adjust at :: !attempts) f.f_attempts;
-    if not lost then
-      match f.f_claim with
-      | Claim_none -> ()
-      | Claim_unknown (route, reason) ->
-        if !fallback = None then fallback := Some (route, reason)
-      | Claim_sat (route, h) ->
-        if Certificate.check a b (Certificate.Witness h) then begin
-          winner := Some (Sat h, route);
-          race := true
-        end
-        else Telemetry.count "solver.race.uncertified" 1
-      | Claim_unsat (route, cert) ->
+    List.iter (fun at -> attempts := adjust at :: !attempts) tried;
+    match decision with
+    | Some ((v, _) as d) when not lost -> (
+      match verdict_certificate v with
+      | None -> if !fallback = None then fallback := Some d
+      | Some cert ->
         if Certificate.check a b cert then begin
-          winner := Some (Unsat cert, route);
+          winner := Some d;
           race := true
         end
-        else Telemetry.count "solver.race.uncertified" 1
+        else Telemetry.count "solver.race.uncertified" 1)
+    | _ -> ()
   in
   Parallel.Race.run ~threads ~tasks ~consume;
-  let finish verdict route =
-    ignore
-      (Telemetry.end_span solve_span
-         ~fields:
-           [
-             ("verdict", Telemetry.String (verdict_name verdict));
-             ("route", Telemetry.String (route_name route));
-             ("threads", Telemetry.Int threads);
-           ]);
-    { verdict; route; attempts = List.rev !attempts }
+  let decision =
+    match (!winner, !fallback) with
+    | Some d, _ | None, Some d -> d
+    | None, None -> (Unknown Budget.Node_limit, Backtracking)
   in
-  let global reason =
-    match Budget.status budget with Some r -> r | None -> reason
-  in
-  match !winner with
-  | Some (v, route) -> finish v route
-  | None -> (
-    match !fallback with
-    | Some (route, reason) -> finish (Unknown (global reason)) route
-    | None -> finish (Unknown (global Budget.Node_limit)) Backtracking)
+  (List.rev !attempts, decision)
 
 let solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
     ~threads a b =
-  if threads <= 1 then
-    solve_seq ~max_treewidth ~consistency_k ~booleanize_threshold ~budget a b
-  else
-    solve_race ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
-      ~threads a b
+  let solve_span = Telemetry.begin_span "solver.solve" in
+  let stages = ladder ~max_treewidth ~consistency_k ~booleanize_threshold a b in
+  let attempts, (verdict, route) =
+    if threads <= 1 then run_ladder ~budget (fst stages @ snd stages)
+    else race_ladder ~budget ~threads a b stages
+  in
+  (* Prefer the global cause (deadline/cancellation) when the whole
+     portfolio is spent. *)
+  let verdict =
+    match (verdict, Budget.status budget) with
+    | Unknown _, Some reason -> Unknown reason
+    | _ -> verdict
+  in
+  ignore
+    (Telemetry.end_span solve_span
+       ~fields:
+         ([
+            ("verdict", Telemetry.String (verdict_name verdict));
+            ("route", Telemetry.String (route_name route));
+          ]
+         @ if threads > 1 then [ ("threads", Telemetry.Int threads) ] else []));
+  { verdict; route; attempts }
 
 (* ------------------------------------------------------------------ *)
 (* Structural preprocessing (DESIGN.md section 16).                     *)
@@ -617,8 +400,8 @@ let solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
 (* Ahead of the portfolio the source is decomposed into connected       *)
 (* components (textually identical ones deduplicated), each component   *)
 (* folded and cored by [Preprocess.shrink_source], and each shrunk      *)
-(* piece solved independently against [B] — sequentially, or over a     *)
-(* [Parallel.Pool] with racer budgets when [threads > 1] supplies more  *)
+(* piece solved independently against [B] — in order, or raced over    *)
+(* [Parallel.Race] with racer budgets when [threads > 1] supplies more  *)
 (* than one part.  Verdicts conjoin: any part's refutation refutes the  *)
 (* whole (wrapped in [Certificate.Via_preprocess] so the trusted        *)
 (* checker can replay the shrink), and per-part witnesses reassemble    *)
@@ -702,41 +485,33 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
         solve_inner ~max_treewidth ~consistency_k ~booleanize_threshold ~budget
           ~threads piece b
     in
+    (* One task per part, in order.  With [threads > 1] and several
+       parts, the parts race, each with a single-threaded portfolio under
+       its own racer budget whose spend is charged back as it finishes;
+       otherwise they run in order on [budget] itself.  Either way a
+       refutation raises the cancel flag: a part not yet started is then
+       skipped, and racing ones abort. *)
+    let racing = threads > 1 && nparts > 1 in
+    let cancel = ref false in
+    let budgets =
+      Array.map (fun _ -> if racing then Budget.racer budget ~cancel else budget) parts
+    in
+    let tasks =
+      Array.mapi
+        (fun i p () ->
+          if !cancel then None
+          else
+            Some
+              (solve_piece
+                 ~threads:(if racing then 1 else threads)
+                 ~budget:budgets.(i) p.Preprocess.shrink.Preprocess.structure))
+        parts
+    in
     let results = Array.make nparts None in
-    if threads > 1 && nparts > 1 then begin
-      (* Parts race across a pool: first refutation raises the shared
-         cancel flag; every racer's spend is merged back afterwards. *)
-      let shards = min threads nparts in
-      let pool = Parallel.Pool.create shards in
-      let cancel = ref false in
-      let budgets = Array.init nparts (fun _ -> Budget.racer budget ~cancel) in
-      Fun.protect
-        ~finally:(fun () -> Parallel.Pool.shutdown pool)
-        (fun () ->
-          Parallel.Pool.run pool (fun shard ->
-              let i = ref shard in
-              while !i < nparts do
-                let r =
-                  solve_piece ~threads:1 ~budget:budgets.(!i)
-                    parts.(!i).Preprocess.shrink.Preprocess.structure
-                in
-                results.(!i) <- Some r;
-                (match r.verdict with Unsat _ -> cancel := true | _ -> ());
-                i := !i + shards
-              done));
-      Array.iter (fun s -> Budget.charge budget (Budget.spent s)) budgets
-    end
-    else
-      (try
-         Array.iteri
-           (fun i p ->
-             results.(i) <-
-               Some (solve_piece ~threads ~budget p.Preprocess.shrink.Preprocess.structure);
-             match results.(i) with
-             | Some { verdict = Unsat _; _ } -> raise Exit
-             | _ -> ())
-           parts
-       with Exit -> ());
+    Parallel.Race.run ~threads ~tasks ~consume:(fun { Parallel.Race.index; value } ->
+        if racing then Budget.charge budget (Budget.spent budgets.(index));
+        results.(index) <- value;
+        match value with Some { verdict = Unsat _; _ } -> cancel := true | _ -> ());
     let attempts =
       pre_attempt
       :: List.concat_map
@@ -744,50 +519,32 @@ let solve_preprocessed ~max_treewidth ~consistency_k ~booleanize_threshold
            (Array.to_list results)
     in
     let finish verdict route = { verdict; route; attempts } in
-    let global reason =
-      match Budget.status budget with Some r -> r | None -> reason
+    (* Verdicts conjoin: the first refuted part refutes the whole, else
+       the first part out of budget leaves it unknown.  A part is skipped
+       only after a refutation, so with neither every part has a
+       witness. *)
+    let first f = Array.find_mapi (fun i r -> Option.bind r (f i)) results in
+    let refuted i r =
+      match r.verdict with Unsat c -> Some (i, c, r.route) | _ -> None
+    and gave_up _ r =
+      match r.verdict with Unknown reason -> Some (reason, r.route) | _ -> None
     in
-    let refuted = ref None
-    and unknown = ref None in
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Some { verdict = Unsat c; route; _ } when !refuted = None ->
-          refuted := Some (i, c, route)
-        | Some { verdict = Unknown reason; route; _ } when !unknown = None ->
-          unknown := Some (reason, route)
-        | None when !unknown = None ->
-          (* A part skipped after an earlier refutation decided the
-             conjunction; never reached without one. *)
-          ()
-        | _ -> ())
-      results;
-    (match !refuted with
+    match first refuted with
     | Some (i, cert, route) ->
       finish (Unsat (Preprocess.wrap_certificate src i cert)) route
     | None -> (
-      match !unknown with
-      | Some (reason, route) -> finish (Unknown (global reason)) route
+      match first gave_up with
+      | Some (reason, route) ->
+        let reason = Option.value ~default:reason (Budget.status budget) in
+        finish (Unknown reason) route
       | None ->
-        let witnesses =
-          Array.map
-            (function
-              | Some r -> (
-                match answer r with
-                | Some h -> h
-                | None -> assert false (* neither refuted nor unknown *))
-              | None -> assert false)
-            results
-        in
-        let h = Preprocess.assemble_witness src (fun i -> witnesses.(i)) in
+        let witness i = Option.get (Option.bind results.(i) answer) in
+        let h = Preprocess.assemble_witness src witness in
         if not (Homomorphism.is_homomorphism a b h) then
           Error.internal
             "preprocess witness reassembly produced a non-homomorphism \
              (shrink certification bug)";
-        let route =
-          match results.(0) with Some r -> r.route | None -> Preprocess
-        in
-        finish (Sat h) route))
+        finish (Sat h) (Option.get results.(0)).route)
 
 let solve ?(max_treewidth = 3) ?(consistency_k = 2) ?(booleanize_threshold = 4)
     ?(budget = Budget.unlimited) ?(threads = 1) ?(preprocess = true) a b =

@@ -143,9 +143,12 @@ val solve :
     and re-verified.  The leading [Preprocess] attempt in
     {!result.attempts} carries the [preprocess.*] shrink counters.
     Shrink-stage budget exhaustion degrades to the unshrunk instance
-    ([preprocess.bailouts]); it never changes a verdict.  With
-    [threads > 1] and several parts, parts race across a domain pool
-    under {!Budget.racer} budgets (first refutation cancels the rest).
+    ([preprocess.bailouts]); it never changes a verdict.  The parts run
+    in order, and a part is skipped once an earlier one refuted; with
+    [threads > 1] and several parts they race instead, each a
+    single-threaded portfolio under its own {!Budget.racer} budget (the
+    first refutation cancels the rest, and every part's spend is charged
+    to [budget]).
 
     [max_treewidth] (default 3) caps the decomposition width the DP route
     accepts; [consistency_k] (default 2) is the pebble count of the
@@ -154,19 +157,20 @@ val solve :
     portfolio; [solve] never raises {!Budget.Exhausted} — exhaustion
     surfaces as an [Unknown] verdict.
 
-    [threads] (default 1) selects portfolio racing: with [threads > 1]
-    every applicable route runs concurrently on its own domain under a
-    private {!Budget.racer}, and the first finisher whose claim passes
-    the trusted [Certificate.check] wins; accepting a claim raises a
-    shared cancellation flag that aborts the losers, recorded as
-    [Cancelled] attempts.  A claim that fails the checker is dropped and
-    the race continues (counted as [solver.race.uncertified]), so racing
+    [threads] (default 1) picks the dispatcher of the route ladder.  Both
+    dispatchers run the same routes, stated once.  [threads = 1] tries them
+    in the order above, each under its share of the remaining budget,
+    and stops at the first decision.  With [threads > 1] every
+    independent route runs concurrently under a private
+    {!Budget.racer}, k-consistency and backtracking as one task (so the
+    pruning survives), and the first finisher whose claim passes the
+    trusted [Certificate.check] wins; accepting a claim raises a shared
+    cancellation flag that aborts the losers, recorded as [Cancelled]
+    attempts.  A claim that fails the checker is dropped and the race
+    continues (counted as [solver.race.uncertified]), so racing
     preserves the proof-carrying invariant: a cancelled or uncertified
     route never contributes a verdict, and verdicts agree with
-    [threads = 1] (the k-consistency pass stays fused with backtracking
-    so its pruning survives).  Total spend is merged back into [budget].
-    [threads = 1] is the sequential dispatcher, bit-identical to
-    previous releases. *)
+    [threads = 1].  Total spend is merged back into [budget]. *)
 
 val exists : Structure.t -> Structure.t -> bool
 (** Unbudgeted existence (always definitive). *)

@@ -1,12 +1,14 @@
 (** Race independent tasks on a bounded set of domains, delivering each
     result to the calling domain in completion order.
 
-    This is the primitive under portfolio racing in [Core.Solver]: tasks
-    are route attempts, [consume] inspects each finisher's claim on the
-    *calling* domain (where it can run the trusted certificate checker
-    and mutate solver state without synchronization), and cancellation
-    is the tasks' own business — typically a shared [Budget] cancel flag
-    the consumer sets once a claim is accepted. *)
+    This is the one parallel primitive of [Core.Solver].  In portfolio
+    racing the tasks are route attempts; in part racing they are the
+    parts of a preprocessed source, and at [threads = 1] the same call
+    runs the parts in order.  [consume] inspects each finisher on the
+    *calling* domain (where it can run the trusted certificate checker,
+    charge budgets and mutate solver state without synchronization), and
+    cancellation is the tasks' own business — typically a shared
+    [Budget] cancel flag the consumer sets once a claim is accepted. *)
 
 type 'a event = { index : int; value : 'a }
 (** A completed task: [index] is its position in the [tasks] array. *)

@@ -239,38 +239,6 @@ let run_counting ?(verify = false) ~budget ~k:_ enc a b =
           | exception Not_found -> None ))
       (Vocabulary.symbols (Structure.vocabulary a))
   in
-  (* Nullary facts constrain every configuration, including the empty one;
-     the per-position tuple gathering below never sees arity-0 symbols, so
-     check them up front.  A 0-ary fact of A missing from B (or whose
-     relation is absent from B) means no configuration at all is a partial
-     homomorphism — the Spoiler wins before placing a pebble, and the
-     one-step derivation "the empty position cannot place element 0"
-     replays through the certificate checker, which re-checks nullary
-     facts on every candidate extension. *)
-  let nullary_ok =
-    List.for_all
-      (fun (name, arity, target) ->
-        arity > 0
-        || Relation.for_all
-             (fun t ->
-               match target with
-               | None -> false
-               | Some ix -> Relation.Index.mem ix t)
-             (Structure.relation a name))
-      target_index
-  in
-  if not nullary_ok then
-    ( [],
-      [ ([], 0) ],
-      {
-        initial_configs = 0;
-        removed = 0;
-        configs_ranked = enc.total;
-        supports_built = 0;
-        deaths_propagated = 0;
-      },
-      true )
-  else
   (* The constraining tuples of A newly within subset [sid]: those
      containing its maximum element with every component inside the
      subset.  Gathered through the per-(position, value) indexes of A, so
@@ -710,7 +678,16 @@ let run_traced ?(budget = Budget.unlimited) ?(engine = `Counting) ~k a b =
   Budget.check budget;
   let n = Structure.size a and m = Structure.size b in
   let family, trace, stats =
-    if n = 0 then ([ [] ], [], empty_stats ~initial_configs:1)
+    (* Nullary facts constrain every configuration, the empty one
+       included, and neither engine's per-position tuple gathering sees
+       them: a 0-ary fact of A missing from B means the Spoiler wins
+       before placing a pebble.  On a nonempty source the one-step
+       derivation "the empty position cannot place element 0" replays
+       through the certificate checker, which re-checks nullary facts on
+       every candidate extension. *)
+    if not (Homomorphism.nullary_facts_hold a b) then
+      ([], (if n > 0 then [ ([], 0) ] else []), empty_stats ~initial_configs:0)
+    else if n = 0 then ([ [] ], [], empty_stats ~initial_configs:1)
     else if m = 0 then ([], [], empty_stats ~initial_configs:0)
     else
       match engine with

@@ -39,6 +39,11 @@ val checked_pow : int -> int -> int
 
 val is_homomorphism : Structure.t -> Structure.t -> mapping -> bool
 
+val nullary_facts_hold : Structure.t -> Structure.t -> bool
+(** Every arity-0 fact of [A] also holds in [B].  Such a fact constrains no
+    element, so propagation never sees it: it holds under every mapping
+    or under none, and engines check it once up front. *)
+
 val find :
   ?ordering:[ `Mrv | `Input ] ->
   ?restrict:(int -> int -> bool) ->

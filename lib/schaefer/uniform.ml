@@ -62,8 +62,9 @@ let preconditions a b =
   then Some "vocabulary arity mismatch"
   else None
 
-(* Symbols used by A but absent from B kill any homomorphism; classify can
-   not see them, so rule them out up front. *)
+(* Symbols used by A but absent from B kill any homomorphism, and so does
+   a nullary fact of A missing from B; neither classify nor propagation
+   sees them, so rule them out up front. *)
 let missing_symbol a b =
   List.exists
     (fun (name, _) -> not (Vocabulary.mem (Structure.vocabulary b) name))
@@ -74,7 +75,7 @@ let solve_with ?(budget = Budget.unlimited) ~route a b =
   match preconditions a b with
   | Some reason -> Not_applicable reason
   | None -> (
-    if missing_symbol a b then No_hom
+    if missing_symbol a b || not (Homomorphism.nullary_facts_hold a b) then No_hom
     else
       match Classify.classify b with
       | None -> Not_applicable "target is not a Schaefer structure"

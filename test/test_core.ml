@@ -145,6 +145,138 @@ let solver_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The sequential dispatcher's attempt report, pinned                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per result: verdict, deciding route, then every attempt as
+   route, outcome, nodes and counters.  Comparing whole lines pins the
+   route order, the budget slicing and the engine counters at once. *)
+let render (r : Solver.result) =
+  let attempt (at : Solver.attempt) =
+    Printf.sprintf "%s %s %d%s"
+      (Solver.route_name at.Solver.route)
+      (Solver.outcome_name at.Solver.outcome)
+      at.Solver.nodes
+      (String.concat ""
+         (List.map (fun (k, v) -> Printf.sprintf " %s=%d" k v) at.Solver.counters))
+  in
+  String.concat " | "
+    (Solver.verdict_name r.Solver.verdict
+    :: Solver.route_name r.Solver.route
+    :: List.map attempt r.Solver.attempts)
+
+(* A corpus reaching every route and every threads=1 outcome: each
+   tractable route deciding, a k-consistency refutation, k-consistency
+   pruning ahead of backtracking, a node budget whose treewidth slice
+   runs out before backtracking decides, a budget that runs out
+   everywhere, and a preprocessed source whose refuting part stops the
+   parts after it. *)
+let pinned_corpus =
+  let schaefer_b =
+    Workloads.random_schaefer_target ~seed:7 Schaefer.Classify.Horn ~arities:[ 2 ]
+  in
+  let schaefer_a =
+    Workloads.random_structure ~seed:3 (Structure.vocabulary schaefer_b) ~size:5
+      ~tuples:4
+  in
+  let dc = Workloads.directed_cycle and uc = Workloads.undirected_cycle in
+  let k = Workloads.clique in
+  let solve ?max_treewidth ?consistency_k ?booleanize_threshold ?max_nodes a b
+      ~preprocess =
+    let budget = Option.map (fun max_nodes -> Budget.create ~max_nodes ()) max_nodes in
+    (* Memo-cold, so earlier solves in this process cannot change the
+       shrink counters. *)
+    Preprocess.memo_reset ();
+    Solver.solve ?max_treewidth ?consistency_k ?booleanize_threshold ?budget
+      ~threads:1 ~preprocess a b
+  in
+  [
+    ("schaefer direct", solve schaefer_a schaefer_b);
+    ("schaefer refutes", solve (k 3) Workloads.k2);
+    ( "schaefer inapplicable",
+      solve
+        (Structure.of_relations
+           (Vocabulary.create [ ("E", 3) ])
+           ~size:3 [ ("E", [ [| 0; 1; 2 |] ]) ])
+        Workloads.k2 );
+    ("hell-nesetril", solve (uc 8) (Workloads.complete_bipartite 3 3));
+    ("hell-nesetril refutes", solve (uc 7) (Workloads.complete_bipartite 2 3));
+    ("booleanized", solve (dc 8) (dc 4));
+    ("booleanized refutes", solve (dc 6) (dc 4));
+    ("acyclic", solve ~booleanize_threshold:0 (Workloads.path 6) (k 3));
+    ("treewidth", solve ~booleanize_threshold:0 (uc 7) (k 3));
+    ( "consistency refutes",
+      solve ~booleanize_threshold:0 ~max_treewidth:1 (dc 3) (Workloads.path 3) );
+    ( "consistency prunes, backtracking refutes",
+      solve ~booleanize_threshold:0 ~max_treewidth:2 (k 4) (k 3) );
+    ( "consistency prunes, backtracking finds",
+      solve ~booleanize_threshold:0 ~max_treewidth:1 (uc 5) (k 3) );
+    ( "treewidth slice exhausted",
+      solve ~booleanize_threshold:0 ~max_nodes:40 (uc 9) (k 3) );
+    ( "budget exhausted everywhere",
+      solve ~booleanize_threshold:0 ~max_treewidth:2 ~max_nodes:30 (k 5) (k 4) );
+    ( "refuting part stops later parts",
+      solve (Structure.disjoint_union (dc 3) (Structure.disjoint_union (dc 4) (dc 5)))
+        (dc 4) );
+  ]
+
+(* Captured from the sequential dispatcher before the route ladder was
+   restated once for both dispatchers; any change here is a change in
+   what [threads = 1] reports, and has to be argued for. *)
+let pinned_reports =
+  [
+    ("schaefer direct", false, "sat | schaefer-direct(1-valid) | schaefer-direct(1-valid) decided 0");
+    ("schaefer direct", true, "sat | preprocess | preprocess pruned 1 preprocess.bailouts=0 preprocess.components=2 preprocess.core_dropped=2 preprocess.distinct_parts=2 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=5 preprocess.shrunk_elements=3 | preprocess decided 0 preprocess.ac_singleton=1 | schaefer-direct(1-valid) decided 0");
+    ("schaefer refutes", false, "unsat | schaefer-direct(bijunctive) | schaefer-direct(bijunctive) decided 48");
+    ("schaefer refutes", true, "unsat | schaefer-direct(bijunctive) | preprocess inapplicable 3 preprocess.bailouts=0 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=3 preprocess.shrunk_elements=3 | schaefer-direct(bijunctive) decided 48");
+    ("schaefer inapplicable", false, "unsat | acyclic-yannakakis | schaefer-direct(bijunctive) inapplicable 0 | acyclic-yannakakis decided 2");
+    ("schaefer inapplicable", true, "unsat | preprocess | preprocess decided 0 preprocess.empty_relation=1");
+    ("hell-nesetril", false, "sat | hell-nesetril(tractable graph) | hell-nesetril(tractable graph) decided 0");
+    ("hell-nesetril", true, "sat | hell-nesetril(tractable graph) | preprocess pruned 8 preprocess.bailouts=0 preprocess.components=1 preprocess.core_dropped=6 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=8 preprocess.shrunk_elements=2 | hell-nesetril(tractable graph) decided 0");
+    ("hell-nesetril refutes", false, "unsat | hell-nesetril(tractable graph) | hell-nesetril(tractable graph) decided 0");
+    ("hell-nesetril refutes", true, "unsat | hell-nesetril(tractable graph) | preprocess inapplicable 7 preprocess.bailouts=1 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=7 preprocess.shrunk_elements=7 | hell-nesetril(tractable graph) decided 0");
+    ("booleanized", false, "sat | booleanized(affine) | booleanized(affine) decided 0");
+    ("booleanized", true, "sat | booleanized(affine) | preprocess inapplicable 0 preprocess.bailouts=0 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=8 preprocess.shrunk_elements=8 | booleanized(affine) decided 0");
+    ("booleanized refutes", false, "unsat | booleanized(affine) | booleanized(affine) decided 27");
+    ("booleanized refutes", true, "unsat | booleanized(affine) | preprocess inapplicable 0 preprocess.bailouts=0 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=6 preprocess.shrunk_elements=6 | booleanized(affine) decided 27");
+    ("acyclic", false, "sat | acyclic-yannakakis | acyclic-yannakakis decided 35");
+    ("acyclic", true, "sat | acyclic-yannakakis | preprocess inapplicable 0 preprocess.bailouts=0 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=6 preprocess.shrunk_elements=6 | acyclic-yannakakis decided 35");
+    ("treewidth", false, "sat | treewidth-dp(width 2) | treewidth-dp(width 2) decided 154");
+    ("treewidth", true, "sat | treewidth-dp(width 2) | preprocess inapplicable 7 preprocess.bailouts=1 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=7 preprocess.shrunk_elements=7 | treewidth-dp(width 2) decided 154");
+    ("consistency refutes", false, "unsat | 2-consistency | 2-consistency decided 78 pebble.configs_ranked=37 pebble.deaths_propagated=13 pebble.initial_configs=16 pebble.removed=16 pebble.supports_built=21");
+    ("consistency refutes", true, "unsat | 2-consistency | preprocess inapplicable 0 preprocess.bailouts=0 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=3 preprocess.shrunk_elements=3 | 2-consistency decided 78 pebble.configs_ranked=37 pebble.deaths_propagated=13 pebble.initial_configs=16 pebble.removed=16 pebble.supports_built=21");
+    ("consistency prunes, backtracking refutes", false, "unsat | backtracking | 2-consistency pruned 136 pebble.configs_ranked=67 pebble.deaths_propagated=0 pebble.initial_configs=49 pebble.removed=0 pebble.supports_built=84 | backtracking decided 58");
+    ("consistency prunes, backtracking refutes", true, "unsat | backtracking | preprocess inapplicable 8 preprocess.bailouts=1 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=4 preprocess.shrunk_elements=4 | 2-consistency pruned 136 pebble.configs_ranked=67 pebble.deaths_propagated=0 pebble.initial_configs=49 pebble.removed=0 pebble.supports_built=84 | backtracking decided 58");
+    ("consistency prunes, backtracking finds", false, "sat | backtracking | 2-consistency pruned 227 pebble.configs_ranked=106 pebble.deaths_propagated=0 pebble.initial_configs=91 pebble.removed=0 pebble.supports_built=165 | backtracking decided 5");
+    ("consistency prunes, backtracking finds", true, "sat | backtracking | preprocess inapplicable 5 preprocess.bailouts=0 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=5 preprocess.shrunk_elements=5 | 2-consistency pruned 227 pebble.configs_ranked=106 pebble.deaths_propagated=0 pebble.initial_configs=91 pebble.removed=0 pebble.supports_built=165 | backtracking decided 5");
+    ("treewidth slice exhausted", false, "sat | backtracking | treewidth-dp(width 2) exhausted(node limit) 11 | 2-consistency exhausted(node limit) 8 | backtracking decided 9");
+    ("treewidth slice exhausted", true, "unknown (node limit) | backtracking | preprocess inapplicable 40 preprocess.bailouts=1 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=9 preprocess.shrunk_elements=9 | treewidth-dp(width 2) exhausted(node limit) 0 | 2-consistency exhausted(node limit) 0 | backtracking exhausted(node limit) 0");
+    ("budget exhausted everywhere", false, "unknown (node limit) | backtracking | 2-consistency exhausted(node limit) 8 | backtracking exhausted(node limit) 24");
+    ("budget exhausted everywhere", true, "unknown (node limit) | backtracking | preprocess inapplicable 30 preprocess.bailouts=1 preprocess.components=1 preprocess.core_dropped=0 preprocess.distinct_parts=1 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=5 preprocess.shrunk_elements=5 | 2-consistency exhausted(node limit) 0 | backtracking exhausted(node limit) 0");
+    ("refuting part stops later parts", false, "unsat | booleanized(affine) | booleanized(affine) decided 26");
+    ("refuting part stops later parts", true, "unsat | booleanized(affine) | preprocess pruned 0 preprocess.bailouts=0 preprocess.components=3 preprocess.core_dropped=0 preprocess.distinct_parts=3 preprocess.folded=0 preprocess.memo_hits=0 preprocess.raw_elements=12 preprocess.shrunk_elements=12 | booleanized(affine) decided 17");
+  ]
+
+let test_pinned_attempts () =
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun preprocess ->
+          match
+            List.find_opt (fun (n, p, _) -> n = name && p = preprocess) pinned_reports
+          with
+          | Some (_, _, expected) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s (preprocess %b)" name preprocess)
+              expected (render (run ~preprocess))
+          | None -> Alcotest.failf "no pinned report for %s" name)
+        [ false; true ])
+    pinned_corpus
+
+let pinned_tests =
+  [ Alcotest.test_case "threads=1 attempt reports pinned" `Quick test_pinned_attempts ]
+
+(* ------------------------------------------------------------------ *)
 (* Workloads                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -280,5 +412,5 @@ let graph_dichotomy_tests =
 
 let () =
   Alcotest.run "core"
-    [ ("csp", csp_tests); ("solver", solver_tests); ("workloads", workload_tests);
+    [ ("csp", csp_tests); ("solver", solver_tests @ pinned_tests); ("workloads", workload_tests);
       ("graph-dichotomy", graph_dichotomy_tests) ]

@@ -1,4 +1,4 @@
-(* The parallel layer: pool/race primitives, racer budgets, and solver
+(* The parallel layer: the race primitive, racer budgets, and solver
    racing — verdict agreement across thread counts, with every Unsat
    passing the trusted certificate checker, and the losers of a race never
    contributing a verdict. *)
@@ -8,55 +8,6 @@ open Helpers
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* ------------------------------------------------------------------ *)
-(* Pool                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_partition_sum () =
-  let pool = Parallel.Pool.create 3 in
-  let n = 1000 in
-  let slots = Array.make (Parallel.Pool.size pool) 0 in
-  let job shard =
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      if i mod Parallel.Pool.size pool = shard then acc := !acc + i
-    done;
-    slots.(shard) <- !acc
-  in
-  Parallel.Pool.run pool job;
-  check_int "all shards sum to the full range" (n * (n - 1) / 2)
-    (Array.fold_left ( + ) 0 slots);
-  (* The pool is persistent: a second run reuses the same workers. *)
-  Array.fill slots 0 (Array.length slots) 0;
-  Parallel.Pool.run pool job;
-  check_int "second run over the same pool" (n * (n - 1) / 2)
-    (Array.fold_left ( + ) 0 slots);
-  Parallel.Pool.shutdown pool;
-  Parallel.Pool.shutdown pool (* idempotent *)
-
-let test_pool_size_one_is_direct () =
-  let pool = Parallel.Pool.create 1 in
-  let ran = ref (-1) in
-  Parallel.Pool.run pool (fun shard -> ran := shard);
-  check_int "size-1 pool runs shard 0 on the caller" 0 !ran;
-  Parallel.Pool.shutdown pool
-
-exception Shard_boom
-
-let test_pool_exception_then_reuse () =
-  let pool = Parallel.Pool.create 3 in
-  let raised =
-    match Parallel.Pool.run pool (fun shard -> if shard = 1 then raise Shard_boom) with
-    | () -> false
-    | exception Shard_boom -> true
-  in
-  check "a shard's exception reaches the caller" true raised;
-  (* The barrier completed, so the pool is still usable afterwards. *)
-  let hits = Array.make 3 false in
-  Parallel.Pool.run pool (fun shard -> hits.(shard) <- true);
-  check "pool usable after a failed job" true (Array.for_all Fun.id hits);
-  Parallel.Pool.shutdown pool
 
 (* ------------------------------------------------------------------ *)
 (* Race                                                                *)
@@ -79,6 +30,8 @@ let test_race_all_consumed () =
       check_int "value matches index" e.Parallel.Race.index e.Parallel.Race.value;
       seen.(e.Parallel.Race.index) <- true);
   check "every task consumed exactly once" true (Array.for_all Fun.id seen)
+
+exception Shard_boom
 
 let test_race_task_exception () =
   let tasks =
@@ -143,14 +96,26 @@ let test_charge_accumulates () =
 (* ------------------------------------------------------------------ *)
 
 (* A source whose components survive preprocessing as several distinct
-   parts is solved part by part across a [Parallel.Pool] when
-   [threads > 1]: the verdict must match the sequential one and carry a
-   certificate the trusted checker accepts.  Directed cycles C3, C4, C5
-   are pairwise incomparable (C_m -> C_n iff n divides m), so no part is
-   dropped as dominated by another. *)
-let test_part_racing_agrees () =
+   parts: directed cycles C3, C4, C5 are pairwise incomparable (C_m -> C_n
+   iff n divides m), so no part is dropped as dominated by another. *)
+let three_cycles =
   let dc = directed_cycle in
-  let a = Structure.disjoint_union (Structure.disjoint_union (dc 3) (dc 4)) (dc 5) in
+  Structure.disjoint_union (Structure.disjoint_union (dc 3) (dc 4)) (dc 5)
+
+let part_targets =
+  let dc = directed_cycle in
+  [
+    ("into itself", three_cycles, true);
+    ("into a loop", dc 1, true);
+    ("into C3 + C4", Structure.disjoint_union (dc 3) (dc 4), false);
+    ("into C2", dc 2, false);
+  ]
+
+(* With [threads > 1] the parts race each other: the verdict must match
+   the sequential one and carry a certificate the trusted checker
+   accepts. *)
+let test_part_racing_agrees () =
+  let a = three_cycles in
   let parts (r : Core.Solver.result) =
     match r.Core.Solver.attempts with
     | { Core.Solver.route = Core.Solver.Preprocess; counters; _ } :: _ ->
@@ -172,12 +137,52 @@ let test_part_racing_agrees () =
             (Printf.sprintf "%s: threads=%d agrees" name threads)
             (Some expected) (certified_verdict a b rn))
         [ 2; 3; 4 ])
-    [
-      ("into itself", a, true);
-      ("into a loop", dc 1, true);
-      ("into C3 + C4", Structure.disjoint_union (dc 3) (dc 4), false);
-      ("into C2", dc 2, false);
-    ]
+    part_targets
+
+(* Under a node limit the part loop may run out: the verdict is then
+   certified or [Unknown], never the opposite of the unbudgeted one, and
+   the caller's budget is charged what the part attempts report (racer
+   spend is merged back as each part finishes).  An exhausted attempt's
+   count includes the one tick its slice refused, which never reaches
+   the slice's parent, hence the allowance of one node per exhausted
+   attempt.  The limits span runs that decide and runs that give up. *)
+let test_part_racing_budget () =
+  let a = three_cycles in
+  let decided = ref 0 and unknown = ref 0 in
+  List.iter
+    (fun (name, b, expected) ->
+      List.iter
+        (fun max_nodes ->
+          List.iter
+            (fun threads ->
+              let label =
+                Printf.sprintf "%s, %d nodes, threads=%d" name max_nodes threads
+              in
+              let budget = Budget.create ~max_nodes () in
+              let r = Core.Solver.solve ~budget ~threads a b in
+              (match certified_verdict a b r with
+              | None -> incr unknown
+              | Some v ->
+                incr decided;
+                check (label ^ ": agrees with the unbudgeted verdict") expected v);
+              let reported, refused =
+                List.fold_left
+                  (fun (n, x) (at : Core.Solver.attempt) ->
+                    match at.Core.Solver.outcome with
+                    | Core.Solver.Exhausted _ -> (n + at.Core.Solver.nodes, x + 1)
+                    | _ -> (n + at.Core.Solver.nodes, x))
+                  (0, 0) r.Core.Solver.attempts
+              in
+              check
+                (Printf.sprintf "%s: spent %d + %d refused >= attempts' %d" label
+                   (Budget.spent budget) refused reported)
+                true
+                (Budget.spent budget + refused >= reported))
+            [ 1; 2; 4 ])
+        [ 3; 12; 40; 400 ])
+    part_targets;
+  check "some budgeted runs decide" true (!decided > 0);
+  check "some budgeted runs give up" true (!unknown > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio racing                                                    *)
@@ -268,13 +273,6 @@ let test_cancelled_never_contributes () =
 let () =
   Alcotest.run "parallel"
     [
-      ( "pool",
-        [
-          Alcotest.test_case "partition sum" `Quick test_pool_partition_sum;
-          Alcotest.test_case "size one direct" `Quick test_pool_size_one_is_direct;
-          Alcotest.test_case "exception then reuse" `Quick
-            test_pool_exception_then_reuse;
-        ] );
       ( "race",
         [
           Alcotest.test_case "sequential order" `Quick test_race_sequential_order;
@@ -289,7 +287,10 @@ let () =
           Alcotest.test_case "charge accumulates" `Quick test_charge_accumulates;
         ] );
       ( "part racing on pool",
-        [ Alcotest.test_case "agrees with threads=1" `Quick test_part_racing_agrees ] );
+        [
+          Alcotest.test_case "agrees with threads=1" `Quick test_part_racing_agrees;
+          Alcotest.test_case "node budget" `Quick test_part_racing_budget;
+        ] );
       ( "racing",
         [
           Alcotest.test_case "cancellation" `Quick test_race_cancellation;

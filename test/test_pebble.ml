@@ -256,6 +256,29 @@ let differential_tests =
         check "families agree when the fact holds" true (engines_agree ~k:2 (a, b));
         check "family nonempty when the fact holds" true
           (Game.winning_family ~engine:`Counting ~k:2 a b <> []));
+    Alcotest.test_case "nullary facts are enforced on an empty universe" `Quick
+      (fun () ->
+        (* The n = 0 shortcut must not answer the family [[]] before the
+           nullary facts are checked: the empty configuration is not a
+           partial homomorphism when P() holds in A but not in B. *)
+        let voc = Vocabulary.create [ ("P", 0); ("E", 2) ] in
+        let b = Structure.add_tuple (Structure.create voc ~size:2) "E" [| 0; 1 |] in
+        List.iter
+          (fun size ->
+            let a = Structure.add_tuple (Structure.create voc ~size) "P" [||] in
+            List.iter
+              (fun (engine, name) ->
+                check
+                  (Printf.sprintf "%d-element source, %s engine: empty family" size name)
+                  true
+                  (Game.winning_family ~engine ~k:2 a b = []))
+              [ (`Counting, "counting"); (`Naive, "naive") ])
+          [ 0; 2 ];
+        (* With the fact present the empty source keeps the empty
+           configuration. *)
+        let a = Structure.add_tuple (Structure.create voc ~size:0) "P" [||] in
+        check "fact present: the empty configuration survives" true
+          (Game.winning_family ~k:2 a (Structure.add_tuple b "P" [||]) = [ [] ]));
     qtest ~count:60 "tight budgets: engines agree whenever both finish"
       (arbitrary_pair ~max_size_a:4 ~max_size_b:3 ~max_tuples:4 ())
       (fun (a, b) ->

@@ -365,6 +365,35 @@ let uniform_tests =
           match Uniform.solve_direct a b with
           | Uniform.Not_applicable _ -> ()
           | _ -> Alcotest.fail "expected Not_applicable");
+      Alcotest.test_case "a nullary fact missing from the target refutes" `Quick
+        (fun () ->
+          (* P() holds in A but not in K2: no mapping at all is a
+             homomorphism, whatever the size of A. *)
+          let voc = Vocabulary.create [ ("E", 2); ("P", 0) ] in
+          let k2 =
+            Structure.of_relations voc ~size:2 [ ("E", [ [| 0; 1 |]; [| 1; 0 |] ]) ]
+          in
+          List.iter
+            (fun size ->
+              let a =
+                Structure.of_relations voc ~size
+                  [ ("E", if size = 2 then [ [| 0; 1 |] ] else []); ("P", [ [||] ]) ]
+              in
+              let name = Printf.sprintf "%d-element source" size in
+              (match Uniform.solve_direct a k2 with
+              | Uniform.No_hom -> ()
+              | _ -> Alcotest.failf "%s: direct route: expected No_hom" name);
+              (match Uniform.solve a k2 with
+              | Uniform.No_hom -> ()
+              | _ -> Alcotest.failf "%s: formula route: expected No_hom" name);
+              let r = Core.Solver.solve ~preprocess:false a k2 in
+              (match r.Core.Solver.route with
+              | Core.Solver.Schaefer_direct _ -> ()
+              | rt -> Alcotest.failf "%s: route %s" name (Core.Solver.route_name rt));
+              Alcotest.(check (option bool))
+                (name ^ ": certified refutation") (Some false)
+                (certified_verdict a k2 r))
+            [ 0; 2 ]);
     ]
 
 (* ------------------------------------------------------------------ *)
